@@ -8,7 +8,6 @@ import numpy as np
 
 from cltlab import (
     Discrete,
-    Empirical,
     cdf,
     convolve,
     fair_die,
@@ -52,10 +51,10 @@ def main():
     print("== sampling is reproducible ==")
     xs = sample(die, 10, seed=42)
     ys = sample(die, 10, seed=42)
-    print("seed 42:", xs.astype(int).tolist())
-    print("again:  ", ys.astype(int).tolist())
+    print("seed 42:", xs.samples.astype(int).tolist())
+    print("again:  ", ys.samples.astype(int).tolist())
 
-    e = Empirical(sample(gauss, 10_000, seed=1))
+    e = sample(gauss, 10_000, seed=1)
     print(f"empirical mean of 10k normal(1,4) draws: {mean(e):.4f}")
 
     print()

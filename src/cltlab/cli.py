@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: clt, charfun, invert, weakdist, integrate, space.  Every
-subcommand accepts --tol, --seed, and --out.  Output is CSV or a single
-number on stdout unless --out names a file.  Failures print exactly one
-line, `error,<ExceptionType>,<message>`, to stderr and exit with status 2.
+subcommand accepts --out; --tol is taken only by charfun, invert and
+integrate, and --seed only by clt, the subcommands that read them.  Output
+is CSV or a single number on stdout unless --out names a file.  Failures
+print exactly one line, `error,<ExceptionType>,<message>`, to stderr and
+exit with status 2.
 """
 
 import argparse
@@ -79,9 +81,9 @@ def _parse_ns(text: str) -> tuple[int, ...]:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cltlab", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-8, help="numerical tolerance")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
+    tol = _Parser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-8, help="numerical tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("clt", parents=[common],
@@ -91,15 +93,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--ns", required=True, help="comma-separated sample counts, e.g. 1,4,16")
     p.add_argument("--mc", type=int, default=None, metavar="DRAWS",
                    help="Monte Carlo mode with this many draws per n")
+    p.add_argument("--seed", type=int, default=0, help="random seed for --mc")
 
-    p = sub.add_parser("charfun", parents=[common],
+    p = sub.add_parser("charfun", parents=[common, tol],
                        help="characteristic function on a t grid as CSV (t,re,im)")
     p.add_argument("--dist", required=True, help="distribution file or preset:NAME")
     p.add_argument("--tmin", type=float, default=-10.0)
     p.add_argument("--tmax", type=float, default=10.0)
     p.add_argument("--steps", type=int, default=401)
 
-    p = sub.add_parser("invert", parents=[common],
+    p = sub.add_parser("invert", parents=[common, tol],
                        help="recover mu((a,b]) from the characteristic function")
     p.add_argument("--dist", required=True, help="distribution file or preset:NAME")
     p.add_argument("--a", type=float, required=True)
@@ -111,7 +114,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 
-    p = sub.add_parser("integrate", parents=[common],
+    p = sub.add_parser("integrate", parents=[common, tol],
                        help="evaluate a built-in integral")
     p.add_argument("--fn", required=True, help="preset:sinc or gauss_moment:K")
 
@@ -210,7 +213,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.tol <= 0.0 or not math.isfinite(args.tol):
+        if "tol" in args and (args.tol <= 0.0 or not math.isfinite(args.tol)):
             raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
         text = _COMMANDS[args.command](args)
         if args.out is None:

@@ -9,6 +9,7 @@ function modulus error on a fixed t grid.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -29,6 +30,9 @@ from .weak_convergence import ConvergenceProbe, cdf_distance, default_grid, levy
 _DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 _SIGMA2_TOL = 1e-9
 _MC_CHUNK = 10_000
+# distinct grids whose normal probes (and their cached normal CDF values)
+# are kept across run_clt calls
+_PROBE_CACHE_SIZE = 8
 
 
 def center(mu: Dist) -> Dist:
@@ -148,10 +152,16 @@ def _mc_normalized_sum(base: Discrete, n: int, draws: int, seed: int) -> Empiric
     return Empirical(out)
 
 
+@lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def _normal_probe(grid: tuple[float, ...]) -> ConvergenceProbe:
+    """The N(0,1) probe on a grid, shared by every run_clt on that grid."""
+    return ConvergenceProbe(standard_normal(), grid)
+
+
 def run_clt(exp: CltExperiment) -> ConvergenceReport:
     """One report row per n, each comparing the normalized sum to N(0,1)."""
     limit = standard_normal()
-    probe = ConvergenceProbe(limit, exp.grid)
+    probe = _normal_probe(exp.grid)
     rows = []
     for n in exp.ns:
         if exp.mc_draws is None:

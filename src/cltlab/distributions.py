@@ -114,16 +114,29 @@ class Density:
         return (lo if math.isfinite(lo) else m - spread,
                 hi if math.isfinite(hi) else m + spread)
 
-    @cached_property
-    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Piecewise-linear CDF on a fine grid, used for bulk sampling."""
+    def _fill_cdf_table(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Piecewise-linear CDF on ``size`` equispaced points of the
+        effective support, by the trapezoid rule on the pdf, normalized to
+        end at 1.  The arrays are read-only: they are cached and shared."""
         lo, hi = self._effective_support
-        xs = np.linspace(lo, hi, 4097)
+        xs = np.linspace(lo, hi, size)
         fs = np.array([max(float(self.pdf(float(x))), 0.0) for x in xs])
         steps = 0.5 * (fs[1:] + fs[:-1]) * np.diff(xs)
         cum = np.concatenate([[0.0], np.cumsum(steps)])
         cum /= cum[-1]
+        xs.flags.writeable = False
+        cum.flags.writeable = False
         return xs, cum
+
+    @cached_property
+    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """CDF table used for bulk sampling."""
+        return self._fill_cdf_table(4097)
+
+    @cached_property
+    def _levy_cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Finer CDF table (resolution ~ support/8192) used by levy_metric."""
+        return self._fill_cdf_table(8193)
 
 
 @dataclass(frozen=True, eq=False)

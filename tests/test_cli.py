@@ -122,6 +122,17 @@ class TestClt:
         assert code2 == 0 and out2 == ""
         assert p.read_bytes() == out.encode()
 
+    def test_readme_transcript(self, capsys):
+        code, out, _ = run_cli(capsys, "clt", "--base", "preset:bernoulli",
+                               "--ns", "4,16,64")
+        assert code == 0
+        assert out == (
+            "n,cdf_sup,levy,charfun_sup\n"
+            "4,0.1875,0.134155273438,0.0501141541181\n"
+            "16,0.0981903076172,0.0702514648438,0.0115674581868\n"
+            "64,0.049673376874,0.0355224609375,0.00283722385479\n"
+        )
+
     def test_mc_mode(self, capsys):
         code, out, _ = run_cli(capsys, "clt", "--base", "preset:die",
                                "--ns", "10", "--mc", "2000", "--seed", "5")
@@ -202,6 +213,44 @@ class TestErrorHandling:
 
     def test_bad_demo_choice(self, capsys):
         self.check_error(capsys, "UsageError", "space", "--demo", "coin")
+
+
+class TestFlags:
+    """--tol and --seed exist only on the subcommands that read them."""
+
+    @pytest.mark.parametrize("argv", [
+        ("space", "--demo", "die", "--seed", "1"),
+        ("clt", "--base", "preset:bernoulli", "--ns", "4", "--tol", "1e-6"),
+        ("weakdist", "--left", "a.dist", "--right", "b.dist", "--tol", "1e-6"),
+        ("integrate", "--fn", "gauss_moment:2", "--seed", "1"),
+    ], ids=["space-seed", "clt-tol", "weakdist-tol", "integrate-seed"])
+    def test_unread_flag_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error,UsageError,unrecognized arguments: --")
+        assert err.count("\n") == 1
+
+    def test_tol_kept_where_read(self, capsys):
+        code, out, _ = run_cli(capsys, "charfun", "--dist", "preset:bernoulli",
+                               "--tmin", "0", "--tmax", "1", "--steps", "2",
+                               "--tol", "1e-6")
+        assert code == 0 and out.startswith("t,re,im\n")
+        code, out, _ = run_cli(capsys, "integrate", "--fn", "gauss_moment:2",
+                               "--tol", "1e-6")
+        assert code == 0 and abs(float(out) - 1.0) < 1e-6
+
+    def test_seed_kept_where_read(self, capsys):
+        argv = ("clt", "--base", "preset:die", "--ns", "3", "--mc", "500")
+        _, a, _ = run_cli(capsys, *argv, "--seed", "1")
+        _, b, _ = run_cli(capsys, *argv, "--seed", "2")
+        assert a.startswith("n,cdf_sup") and b.startswith("n,cdf_sup")
+        assert a != b
+
+    def test_out_kept_everywhere(self, capsys, tmp_path):
+        p = tmp_path / "space.csv"
+        code, out, _ = run_cli(capsys, "space", "--demo", "die", "--out", str(p))
+        assert code == 0 and out == ""
+        assert p.read_text().startswith("quantity,value\n")
 
 
 class TestEntryPoints:

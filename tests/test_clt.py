@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cltlab import distributions
 from cltlab.charfuns import charfun, normal_charfun
 from cltlab.clt import (
     CltExperiment,
@@ -17,13 +18,16 @@ from cltlab.clt import (
 from cltlab.distributions import (
     Density,
     Discrete,
+    cdf,
     fair_die,
     iid_sum_normalized,
     mean,
     point_mass,
     rademacher,
+    standard_normal,
     variance,
 )
+from cltlab.weak_convergence import levy_metric
 
 T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -147,6 +151,31 @@ class TestRunClt:
         a = run_clt(CltExperiment(fair_die(), ns=(10,), seed=1, mc_draws=5_000))
         b = run_clt(CltExperiment(fair_die(), ns=(10,), seed=2, mc_draws=5_000))
         assert a != b
+
+
+class TestNormalSideComputedOnce:
+    def test_rows_equal_probe_free_computation(self):
+        # the shared probe and the cached tables change no bit of a row
+        exp = CltExperiment(rademacher(), ns=(1, 4, 16))
+        normal = standard_normal()
+        for row in run_clt(exp).rows:
+            mu = iid_sum_normalized(exp.base, row.n)
+            assert row.cdf_sup == max(abs(cdf(mu, g) - cdf(normal, g)) for g in exp.grid)
+            assert row.levy == levy_metric(mu, normal)
+
+    def test_second_run_evaluates_no_normal_pdf(self, monkeypatch):
+        exp = CltExperiment(rademacher(), ns=(4, 16), grid=(-1.5, 0.5, 2.5))
+        first = run_clt(exp)
+        calls = []
+        density = distributions.normal_density
+
+        def counting(x, *args):
+            calls.append(x)
+            return density(x, *args)
+
+        monkeypatch.setattr(distributions, "normal_density", counting)
+        assert run_clt(exp) == first
+        assert calls == []
 
 
 class TestCharfunCurve:

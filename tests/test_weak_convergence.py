@@ -94,6 +94,42 @@ class TestCdfDistance:
         assert cdf_distance(e, probe) == 0.0
 
 
+def counting_normal():
+    """A standard normal Density whose pdf counts its evaluations."""
+    calls = [0]
+
+    def pdf(x):
+        calls[0] += 1
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    return Density(pdf, (-math.inf, math.inf)), calls
+
+
+class TestCachedLimitSide:
+    def test_probe_construction_is_lazy(self):
+        d, calls = counting_normal()
+        grid = default_grid(d)
+        before = calls[0]
+        ConvergenceProbe(d, grid)
+        assert calls[0] == before
+
+    def test_second_cdf_distance_reuses_limit_cdf(self):
+        d, calls = counting_normal()
+        probe = default_probe(d)
+        mu = iid_sum_normalized(rademacher(), 16)
+        first = cdf_distance(mu, probe)
+        before = calls[0]
+        assert cdf_distance(mu, probe) == first
+        assert calls[0] == before
+
+    def test_second_levy_metric_reuses_table(self):
+        d, calls = counting_normal()
+        first = levy_metric(d, standard_normal())
+        before = calls[0]
+        assert levy_metric(d, standard_normal()) == first
+        assert calls[0] == before
+
+
 class TestPortmanteauTestFn:
     def test_identical(self):
         probe = default_probe(fair_die())
