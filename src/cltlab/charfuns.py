@@ -1,9 +1,9 @@
 """Characteristic functions and the Levy inversion formula.
 
-phi(t) = integral of e^{itx} mu(dx): an exact weighted sum for Discrete,
-coordinatewise quadrature against the density for Density, and a sample
-average for Empirical.  Inversion recovers mu((a, b]) for non-atom
-endpoints a < b by integrating the truncated Levy kernel.
+phi(t) = integral of e^{itx} mu(dx): an exact weighted sum over the atoms
+of a Discrete (an Empirical included), and coordinatewise quadrature
+against the density for a Density.  Inversion recovers mu((a, b]) for
+non-atom endpoints a < b by integrating the truncated Levy kernel.
 """
 
 import cmath
@@ -12,9 +12,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .distributions import Density, Discrete, Dist, Empirical, mean, variance, _require_dist
+from .distributions import Discrete, Dist, mean, variance, _require_dist
 from .errors import NonConvergenceError
 from .numerics import DEFAULT_TOL, integrate_complex
+from .weak_convergence import integral_against
 
 _T_START = 64.0
 _T_CAP = 1e5
@@ -36,10 +37,6 @@ def charfun(mu: Dist, t: float, tol: float = DEFAULT_TOL) -> complex:
     if isinstance(mu, Discrete):
         re = float(np.dot(mu.weights, np.cos(t * mu.points)))
         im = float(np.dot(mu.weights, np.sin(t * mu.points)))
-        return complex(re, im)
-    if isinstance(mu, Empirical):
-        re = float(np.cos(t * mu.samples).mean())
-        im = float(np.sin(t * mu.samples).mean())
         return complex(re, im)
     lo, hi = mu.support
     pdf = mu.pdf
@@ -87,21 +84,13 @@ def second_order_check(mu: Dist, t: float, tol: float = DEFAULT_TOL) -> float:
 
 def second_order_bound(mu: Dist, t: float, tol: float = DEFAULT_TOL) -> float:
     """E[min(|tX|^3/6, |tX|^2)], the dominating bound for second_order_check."""
-    _require_dist(mu)
     t = float(t)
 
     def g(x: float) -> float:
         a = abs(t * x)
         return min(a**3 / 6.0, a**2)
 
-    if isinstance(mu, Discrete):
-        return float(np.dot(mu.weights, [g(x) for x in mu.points]))
-    if isinstance(mu, Empirical):
-        return float(np.mean([g(x) for x in mu.samples]))
-    lo, hi = mu.support
-    from .numerics import integrate
-
-    return integrate(lambda x: g(x) * mu.pdf(x), lo, hi, tol)
+    return integral_against(g, mu, tol)
 
 
 def _kernel(t: float, a: float, b: float) -> complex:

@@ -1,10 +1,12 @@
-"""Probability distributions on the real line in three concrete forms.
+"""Probability distributions on the real line in two concrete forms.
 
-``Discrete`` holds finitely many weighted atoms, ``Density`` wraps an
-integrable density with its support, and ``Empirical`` is the distribution
-of a finite sample.  All CDFs follow the right-continuous convention
-F(x) = mu((-inf, x]), and quantiles are the generalized inverse
-inf{x : F(x) >= p}, so quantile(p) <= x exactly when p <= cdf(x).
+``Discrete`` holds finitely many weighted atoms and ``Density`` wraps an
+integrable density with its support.  ``Empirical``, the law of a finite
+sample, is a ``Discrete`` whose atoms are the distinct sample values with
+weights count/N, so every operation on atoms serves it too.  All CDFs follow
+the right-continuous convention F(x) = mu((-inf, x]), and quantiles are the
+generalized inverse inf{x : F(x) >= p}, so quantile(p) <= x exactly when
+p <= cdf(x).
 """
 
 import io
@@ -139,27 +141,37 @@ class Density:
         return self._fill_cdf_table(8193)
 
 
-@dataclass(frozen=True, eq=False)
-class Empirical:
-    """Uniform distribution over a finite sample; samples are kept sorted."""
+class Empirical(Discrete):
+    """Uniform distribution over a finite sample, as a Discrete: the points
+    are the distinct sample values and the weights their counts over N.
+    ``samples`` keeps the draws in the order given."""
 
-    samples: np.ndarray
-
-    def __post_init__(self):
-        xs = np.sort(np.asarray(self.samples, dtype=float).reshape(-1))
+    def __init__(self, samples):
+        xs = np.asarray(samples, dtype=float).reshape(-1)
         if xs.size == 0:
             raise ValueError("an Empirical distribution needs at least one sample")
         if not np.isfinite(xs).all():
             raise ValueError("samples must be finite")
+        points, counts = np.unique(xs, return_counts=True)
+        super().__init__(points, counts / xs.size)
         object.__setattr__(self, "samples", xs)
 
+    @cached_property
+    def _cumweights(self) -> np.ndarray:
+        # exact steps k/N from the counts (recovered exactly by rounding);
+        # a running sum of the weights drifts in the last bits
+        n = self.samples.size
+        return np.cumsum(np.rint(self.weights * n)) / n
 
-Dist = Union[Discrete, Density, Empirical]
+
+Dist = Union[Discrete, Density]
 
 
 def _require_dist(mu) -> None:
-    if not isinstance(mu, (Discrete, Density, Empirical)):
-        raise TypeError(f"expected a Discrete, Density, or Empirical, got {type(mu).__name__}")
+    if not isinstance(mu, (Discrete, Density)):
+        raise TypeError(
+            f"expected a Discrete (an Empirical is one) or a Density, got {type(mu).__name__}"
+        )
 
 
 def cdf(mu: Dist, x: float, tol: float = _CDF_TOL) -> float:
@@ -171,9 +183,6 @@ def cdf(mu: Dist, x: float, tol: float = _CDF_TOL) -> float:
     if isinstance(mu, Discrete):
         idx = int(np.searchsorted(mu.points, x, side="right"))
         return float(mu._cumweights[idx - 1]) if idx > 0 else 0.0
-    if isinstance(mu, Empirical):
-        idx = int(np.searchsorted(mu.samples, x, side="right"))
-        return idx / mu.samples.size
     lo, hi = mu.support
     if x <= lo:
         return 0.0
@@ -201,10 +210,6 @@ def quantile(mu: Dist, p: float) -> float:
     if isinstance(mu, Discrete):
         idx = int(np.searchsorted(mu._cumweights, p, side="left"))
         return float(mu.points[min(idx, mu.points.size - 1)])
-    if isinstance(mu, Empirical):
-        n = mu.samples.size
-        idx = min(max(math.ceil(p * n) - 1, 0), n - 1)
-        return float(mu.samples[idx])
     lo, hi = mu.support
     lo_b, hi_b = lo, hi
     if not math.isfinite(lo_b):
@@ -234,8 +239,6 @@ def mean(mu: Dist, tol: float = _MOMENT_TOL) -> float:
     _require_dist(mu)
     if isinstance(mu, Discrete):
         return float(np.dot(mu.weights, mu.points))
-    if isinstance(mu, Empirical):
-        return float(mu.samples.mean())
     if tol == _MOMENT_TOL:
         return mu._moments[0]
     lo, hi = mu.support
@@ -248,8 +251,6 @@ def variance(mu: Dist, tol: float = _MOMENT_TOL) -> float:
     if isinstance(mu, Discrete):
         m = mean(mu)
         return float(np.dot(mu.weights, (mu.points - m) ** 2))
-    if isinstance(mu, Empirical):
-        return float(mu.samples.var())
     if tol == _MOMENT_TOL:
         return mu._moments[1]
     lo, hi = mu.support
@@ -266,10 +267,6 @@ def atom_mass(mu: Dist, x: float) -> float:
         if idx < mu.points.size and mu.points[idx] == x:
             return float(mu.weights[idx])
         return 0.0
-    if isinstance(mu, Empirical):
-        left = int(np.searchsorted(mu.samples, x, side="left"))
-        right = int(np.searchsorted(mu.samples, x, side="right"))
-        return (right - left) / mu.samples.size
     return 0.0
 
 
@@ -278,8 +275,6 @@ def discontinuity_points(mu: Dist) -> list[float]:
     _require_dist(mu)
     if isinstance(mu, Discrete):
         return [float(x) for x in mu.points]
-    if isinstance(mu, Empirical):
-        return [float(x) for x in np.unique(mu.samples)]
     return []
 
 
@@ -344,8 +339,9 @@ def convolve(mu: Dist, nu: Dist) -> Dist:
     """Distribution of the sum of independent draws from mu and nu.
 
     Supported pairs: Discrete*Discrete (exact atom-pair enumeration with
-    1e-12 merging) and Density*Density (grid convolution on a uniform grid
-    with linear interpolation).
+    1e-12 merging; an Empirical counts as a Discrete and the sum is a plain
+    Discrete) and Density*Density (grid convolution on a uniform grid with
+    linear interpolation).
     """
     _require_dist(mu)
     _require_dist(nu)
@@ -359,7 +355,8 @@ def convolve(mu: Dist, nu: Dist) -> Dist:
 
 
 def shift_scale(mu: Dist, a: float, b: float) -> Dist:
-    """Law of (X - a) / b for X ~ mu; b must be nonzero."""
+    """Law of (X - a) / b for X ~ mu; b must be nonzero.  Atoms map to a
+    Discrete (also for an Empirical mu) and a Density to a Density."""
     _require_dist(mu)
     a = float(a)
     b = float(b)
@@ -374,8 +371,6 @@ def shift_scale(mu: Dist, a: float, b: float) -> Dist:
             pts = pts[::-1].copy()
             wts = wts[::-1].copy()
         return Discrete(pts, wts)
-    if isinstance(mu, Empirical):
-        return Empirical((mu.samples - a) / b)
     lo, hi = mu.support
     lo_t, hi_t = (lo - a) / b, (hi - a) / b
     if b < 0.0:
@@ -421,7 +416,8 @@ def iid_sum_normalized(mu: Discrete, n: int, max_atoms: int = _MAX_ATOMS) -> Dis
 
 def sample(mu: Dist, n: int, seed: int) -> Empirical:
     """n iid draws from mu, produced by applying the quantile transform to
-    seeded uniforms; identical inputs give identical output."""
+    seeded uniforms; identical inputs give identical output.  ``samples``
+    of the result holds the draws in the order they were made."""
     _require_dist(mu)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"sample size must be a positive integer, got {n!r}")
@@ -432,10 +428,6 @@ def sample(mu: Dist, n: int, seed: int) -> Empirical:
             np.searchsorted(mu._cumweights, u, side="left"), mu.points.size - 1
         )
         return Empirical(mu.points[idx])
-    if isinstance(mu, Empirical):
-        size = mu.samples.size
-        idx = np.clip(np.ceil(u * size).astype(int) - 1, 0, size - 1)
-        return Empirical(mu.samples[idx])
     xs, cum = mu._cdf_table
     keep = np.concatenate([[True], np.diff(cum) > 0.0])
     return Empirical(np.interp(u, cum[keep], xs[keep]))

@@ -18,7 +18,6 @@ from .distributions import (
     Density,
     Discrete,
     Dist,
-    Empirical,
     _require_dist,
     atom_mass,
     cdf,
@@ -149,12 +148,10 @@ def cdf_distance(mu: Dist, probe: ConvergenceProbe) -> float:
 
 
 def integral_against(fn: Callable[[float], float], mu: Dist, tol: float = 1e-9) -> float:
-    """integral of fn d(mu): finite sum, sample mean, or quadrature."""
+    """integral of fn d(mu): a weighted sum over atoms, or quadrature."""
     _require_dist(mu)
     if isinstance(mu, Discrete):
         return float(np.dot(mu.weights, [fn(float(x)) for x in mu.points]))
-    if isinstance(mu, Empirical):
-        return float(np.mean([fn(float(x)) for x in mu.samples]))
     lo, hi = mu.support
     pdf = mu.pdf
     return integrate(lambda x: fn(x) * pdf(x), lo, hi, tol)
@@ -202,11 +199,12 @@ def boundary_null_check(
 
 
 class _StepCdf:
-    """Right-continuous step CDF from atoms, with left limits."""
+    """Right-continuous step CDF of a Discrete, with left limits; it reads
+    the same cumulative weights as cdf, quantile and sample."""
 
-    def __init__(self, points: np.ndarray, weights: np.ndarray):
-        self.points = points
-        self.cum = np.cumsum(weights)
+    def __init__(self, mu: Discrete):
+        self.points = mu.points
+        self.cum = mu._cumweights
 
     def value(self, x: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.points, x, side="right")
@@ -239,10 +237,7 @@ class _TableCdf:
 
 def _cdf_evaluator(mu: Dist):
     if isinstance(mu, Discrete):
-        return _StepCdf(mu.points, mu.weights)
-    if isinstance(mu, Empirical):
-        pts, counts = np.unique(mu.samples, return_counts=True)
-        return _StepCdf(pts, counts / mu.samples.size)
+        return _StepCdf(mu)
     return _TableCdf(mu)
 
 

@@ -28,7 +28,10 @@ from cltlab.distributions import (
     standard_normal,
     variance,
 )
+from cltlab.charfuns import charfun
+from cltlab.clt import CltExperiment, run_clt
 from cltlab.errors import SizeLimitError
+from cltlab.weak_convergence import ConvergenceProbe, cdf_distance, levy_metric
 from oracles import discrete_dists, normal_cdf
 
 
@@ -66,7 +69,8 @@ class TestConstruction:
 
     def test_empirical_sorts_and_rejects_empty(self):
         e = Empirical(np.array([3.0, 1.0, 2.0]))
-        assert list(e.samples) == [1.0, 2.0, 3.0]
+        assert list(e.samples) == [3.0, 1.0, 2.0]
+        assert list(e.points) == [1.0, 2.0, 3.0]
         with pytest.raises(ValueError):
             Empirical(np.array([]))
 
@@ -145,6 +149,17 @@ class TestQuantile:
         assert quantile(e, 0.25) == 10.0
         assert quantile(e, 0.26) == 20.0
         assert quantile(e, 0.75) == 30.0
+        # the Galois connection at and one ulp either side of every k/N,
+        # over samples with and without ties
+        for n in range(1, 61):
+            for xs in (np.arange(n, 0, -1.0), np.arange(n) // 3 * 0.5):
+                e = Empirical(xs)
+                pts = np.unique(xs)
+                cdfs = np.array([cdf(e, float(x)) for x in pts])
+                levels = {q for k in range(1, n + 1)
+                          for q in (k / n, np.nextafter(k / n, 0.0), np.nextafter(k / n, 1.0))}
+                for p in sorted(q for q in levels if 0.0 < q < 1.0):
+                    assert np.array_equal(quantile(e, p) <= pts, p <= cdfs), (n, p)
 
     @given(discrete_dists(), st.floats(0.001, 0.999), st.floats(-35, 35))
     @settings(max_examples=60, deadline=None)
@@ -349,13 +364,18 @@ class TestSample:
     def test_density_sampling_matches_erf(self):
         e = sample(standard_normal(), 10_000, seed=5)
         xs = np.linspace(-4.0, 4.0, 201)
-        ecdf = np.searchsorted(e.samples, xs, side="right") / e.samples.size
+        ecdf = [cdf(e, float(x)) for x in xs]
         worst = max(abs(float(c) - normal_cdf(float(x))) for x, c in zip(xs, ecdf))
         assert worst <= 1.5 / math.sqrt(10_000)
 
     def test_n_validation(self):
         with pytest.raises(ValueError):
             sample(rademacher(), 0, seed=0)
+
+    def test_draws_kept_in_order(self):
+        u = np.random.default_rng(42).random(50)
+        e = sample(fair_die(), 50, seed=42)
+        assert list(e.samples) == [quantile(fair_die(), float(p)) for p in u]
 
 
 class TestDiscontinuityAndAtoms:
@@ -402,3 +422,54 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             load_discrete(buf)
         assert "line 2" in str(err.value)
+
+
+class TestEmpiricalIsDiscrete:
+    # N = 8: the weights k/8 are dyadic, so the Discrete's running sum of
+    # weights is exactly the Empirical's count table
+    SAMPLE = np.array([2.5, -1.0, 2.5, 0.0, 4.0, -1.0, 2.5, 7.0])
+
+    def pair(self):
+        e = Empirical(self.SAMPLE)
+        pts, counts = np.unique(self.SAMPLE, return_counts=True)
+        return e, Discrete(pts, counts / self.SAMPLE.size)
+
+    def test_same_values(self):
+        e, d = self.pair()
+        assert isinstance(e, Discrete)
+        xs = [-2.0, -1.0, -0.5, 0.0, 1.0, 2.5, 3.0, 7.0, 8.0]
+        assert [cdf(e, x) for x in xs] == [cdf(d, x) for x in xs]
+        assert [atom_mass(e, x) for x in xs] == [atom_mass(d, x) for x in xs]
+        ps = [0.1, 0.25, 0.3, 0.375, 0.5, 0.625, 0.875, 0.9]
+        assert [quantile(e, p) for p in ps] == [quantile(d, p) for p in ps]
+        assert discontinuity_points(e) == discontinuity_points(d)
+        for other in (standard_normal(), rademacher()):
+            assert levy_metric(e, other) == levy_metric(d, other)
+            assert levy_metric(other, e) == levy_metric(other, d)
+        probe = ConvergenceProbe(standard_normal(), tuple(np.linspace(-3.0, 8.0, 23)))
+        assert cdf_distance(e, probe) == cdf_distance(d, probe)
+        for t in (0.5, 1.0, 3.0):
+            assert abs(charfun(e, t) - charfun(d, t)) <= 1e-15
+        assert abs(mean(e) - mean(d)) <= 1e-15
+        assert abs(variance(e) - variance(d)) <= 1e-15
+
+    def test_convolve_with_discrete(self):
+        e, d = self.pair()
+        s = convolve(e, rademacher())
+        ref = convolve(d, rademacher())
+        assert np.array_equal(s.points, ref.points)
+        assert np.array_equal(s.weights, ref.weights)
+
+    def test_save_load_round_trip(self):
+        e, d = self.pair()
+        buf = io.StringIO()
+        save_discrete(e, buf)
+        buf.seek(0)
+        back = load_discrete(buf)
+        assert np.array_equal(back.points, d.points)
+        assert np.array_equal(back.weights, d.weights)
+
+    def test_clt_experiment_base(self):
+        e, d = self.pair()
+        rows = run_clt(CltExperiment(e, ns=(1, 2, 4, 8))).rows
+        assert rows == run_clt(CltExperiment(d, ns=(1, 2, 4, 8))).rows
