@@ -24,6 +24,7 @@ from cltlab.weak_convergence import (
     levy_metric,
     portmanteau_testfn,
 )
+from oracles import berry_esseen
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +133,15 @@ class TestClt:
             "16,0.0981903076172,0.0702514648438,0.0115674581868\n"
             "64,0.049673376874,0.0355224609375,0.00283722385479\n"
         )
+
+    def test_die_512_exact(self, capsys):
+        code, out, _ = run_cli(capsys, "clt", "--base", "preset:die", "--ns", "512")
+        assert code == 0
+        header, row = out.splitlines()
+        n, cdf_sup, levy, _ = row.split(",")
+        bound = berry_esseen([1, 2, 3, 4, 5, 6], [1 / 6] * 6, 512)
+        assert n == "512"
+        assert 0.0 < float(cdf_sup) <= bound and float(levy) <= bound
 
     def test_mc_mode(self, capsys):
         code, out, _ = run_cli(capsys, "clt", "--base", "preset:die",

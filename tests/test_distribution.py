@@ -1,9 +1,10 @@
 import io
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cltlab.distributions import (
     Density,
@@ -28,11 +29,17 @@ from cltlab.distributions import (
     standard_normal,
     variance,
 )
+from cltlab.distributions import (
+    _binary_power,
+    _convolve_discrete,
+    _lattice_power,
+    _lattice_span,
+)
 from cltlab.charfuns import charfun
-from cltlab.clt import CltExperiment, run_clt
+from cltlab.clt import CltExperiment, center, run_clt
 from cltlab.errors import SizeLimitError
-from cltlab.weak_convergence import ConvergenceProbe, cdf_distance, levy_metric
-from oracles import discrete_dists, normal_cdf
+from cltlab.weak_convergence import ConvergenceProbe, cdf_distance, default_grid, levy_metric
+from oracles import coin_sum_cdf, discrete_dists, normal_cdf
 
 
 class TestConstruction:
@@ -243,6 +250,14 @@ class TestConvolve:
         assert np.array_equal(left.points, right.points)
         assert np.allclose(left.weights, right.weights, atol=1e-12)
 
+    def test_underflowed_pair_weight_dropped(self):
+        # 1e-200 squared underflows to 0.0: the sum 0 + 0 is no atom
+        mu = Discrete(np.array([0.0, 1.0, 1.0 + math.sqrt(2.0)]),
+                      np.array([1e-200, 0.6 - 1e-200, 0.4]))
+        out = convolve(mu, mu)
+        assert out.points.size == 5 and out.points[0] == 1.0
+        assert abs(out.weights.sum() - 1.0) <= 1e-15
+
     def test_mixed_pair_rejected(self):
         with pytest.raises(ValueError):
             convolve(rademacher(), standard_normal())
@@ -287,6 +302,12 @@ class TestShiftScale:
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
             shift_scale(rademacher(), 0.0, 0.0)
+
+    def test_merging_map_rejected(self):
+        # both atoms underflow to 0.0 after the division
+        mu = Discrete(np.array([1e-300, 2e-300]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            shift_scale(mu, 0.0, 1e300)
 
     def test_density_shift_scale(self):
         mu = shift_scale(standard_normal(), -1.0, 2.0)  # (X+1)/2 ~ N(0.5, 0.25)
@@ -335,6 +356,56 @@ class TestIidSumNormalized:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             iid_sum_normalized(rademacher(), 64, max_atoms=10)
+
+    def test_slot_cap_checked_before_work(self):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError):
+            iid_sum_normalized(rademacher(), 10**7)
+        assert time.perf_counter() - start < 0.5
+
+    def test_nonlattice_keeps_pair_cap(self):
+        base = center(Discrete(np.array([0.0, 1.0, 1.0 + math.sqrt(2.0)]),
+                               np.array([0.5, 0.3, 0.2])))
+        with pytest.raises(SizeLimitError):
+            iid_sum_normalized(base, 256)
+
+    def test_lattice_span(self):
+        assert _lattice_span(np.array([0.0, 2.0, 5.0])) == 1.0
+        assert _lattice_span(np.array([-1.0, 1.0])) == 2.0
+        assert _lattice_span(np.arange(1.0, 7.0) - 3.5) == 1.0
+        assert _lattice_span(np.array([0.0, 1.0, 1.0 + math.sqrt(2.0)])) is None
+
+    def test_coin_large_n_matches_binomial(self):
+        n = 10**4
+        mu = iid_sum_normalized(rademacher(), n)
+        F = coin_sum_cdf(n)
+        for x in default_grid(standard_normal()):
+            v = cdf(mu, x)
+            assert min(abs(v - side) for side in F(x)) <= 1e-10
+
+    def test_die_large_n_charfun_and_moments(self):
+        base = center(fair_die())
+        n = 10**4
+        mu = iid_sum_normalized(base, n)
+        root = math.sqrt(n * variance(base))
+        for t in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0):
+            phi = np.sum(base.weights * np.exp(1j * base.points * (t / root))) ** n
+            assert abs(charfun(mu, t) - phi) <= 1e-9
+        assert abs(mean(mu)) <= 1e-12
+        assert abs(variance(mu) - 1.0) <= 1e-12
+        Discrete(mu.points, mu.weights)  # the public checks hold
+
+    @settings(deadline=None)
+    @given(discrete_dists(), st.integers(1, 64))
+    def test_lattice_path_matches_pair_path(self, base, n):
+        assume(base.points.size >= 2)
+        span = _lattice_span(base.points)
+        slots, wts = _lattice_power(base, n, span, 10**6)
+        lattice = dict(zip(n * base.points[0] + span * slots, wts))
+        pair = _binary_power(base, n, _convolve_discrete)
+        assert set(lattice) <= set(pair.points)
+        for p, w in zip(pair.points, pair.weights):
+            assert abs(lattice.get(p, 0.0) - w) <= 1e-15
 
 
 class TestSample:
