@@ -19,7 +19,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import NonConvergenceError, SizeLimitError
-from .numerics import integrate
+from .numerics import _sweep, integrate
 
 _WEIGHT_SUM_TOL = 1e-12
 _MERGE_TOL = 1e-12
@@ -27,6 +27,11 @@ _MEAN_ZERO_TOL = 1e-9
 _MAX_ATOMS = 1_000_000
 _CDF_TOL = 1e-10
 _MOMENT_TOL = 1e-9
+_TABLE_SIZE = 8193
+_TABLE_TAIL = 1e-12  # mass a Density table leaves beyond each infinite end
+# above the step error of 4096+ grid points (2.4e-4 on a box pdf read as 0 at
+# its ends, 6e-6 on the Laplace cusp), below a heavy tail's miss (Cauchy: 1)
+_GRID_MASS_TOL = 1e-3
 # lattice detection: gaps are commensurable to this fraction of the width
 _SPAN_RTOL = 1e-12
 # lattice powering convolves directly while a product takes at most this many
@@ -96,7 +101,11 @@ class Density:
     """Absolutely continuous law given by a density and its support.
 
     The density must be nonnegative and integrate to one over the support
-    within ``mass_tol`` (checked at construction by quadrature).
+    within ``mass_tol`` (checked at construction by quadrature).  Queries
+    read one partition of the pdf, built on first use at tolerance 1e-10, so
+    ``cdf`` and ``quantile`` are accurate to 1e-10 over the whole support,
+    heavy tails included.  Moments, ``sample``, ``levy_metric`` and
+    ``convolve`` raise NonConvergenceError on heavy tails.
     """
 
     pdf: Callable[[float], float]
@@ -121,46 +130,58 @@ class Density:
             raise ValueError(f"density mass {mass!r} deviates from 1 beyond mass_tol")
 
     @cached_property
-    def _moments(self) -> tuple[float, float]:
-        lo, hi = self.support
-        m = integrate(lambda x: x * self.pdf(x), lo, hi, tol=_MOMENT_TOL)
-        v = integrate(lambda x: (x - m) ** 2 * self.pdf(x), lo, hi, tol=_MOMENT_TOL)
-        return m, v
+    def _partition(self) -> tuple[np.ndarray, np.ndarray]:
+        """Panel edges of one sweep of the pdf at the cdf tolerance and the
+        mass up to each edge (read-only: cached and shared)."""
+        _, panels = _sweep(self.pdf, *self.support, _CDF_TOL)
+        panels.sort(key=lambda panel: panel[1])
+        edges = np.array([panels[0][1]] + [pb for _, _, pb, _ in panels])
+        mass = np.concatenate([[0.0], np.cumsum([pv for *_, pv in panels])])
+        edges.flags.writeable = False
+        mass.flags.writeable = False
+        return edges, mass
+
+    def _integral(self, g: Callable[[float], float], tol: float) -> float:
+        """Integral of g * pdf by a sweep seeded with the partition's edges
+        (NonConvergenceError when its shells never settle)."""
+        return _sweep(lambda x: g(x) * self.pdf(x), *self.support, tol, self._partition[0])[0]
 
     @cached_property
-    def _effective_support(self) -> tuple[float, float]:
-        """Support truncated, when infinite, to mean +- 10 standard deviations."""
-        lo, hi = self.support
-        if math.isfinite(lo) and math.isfinite(hi):
-            return lo, hi
-        m, v = self._moments
-        spread = 10.0 * math.sqrt(max(v, 0.0))
-        return (lo if math.isfinite(lo) else m - spread,
-                hi if math.isfinite(hi) else m + spread)
+    def _moments(self) -> tuple[float, float]:
+        m = self._integral(lambda x: x, _MOMENT_TOL)
+        v = self._integral(lambda x: (x - m) ** 2, _MOMENT_TOL)
+        return m, v
 
-    def _fill_cdf_table(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Piecewise-linear CDF on ``size`` equispaced points of the
-        effective support, by the trapezoid rule on the pdf, normalized to
-        end at 1.  The arrays are read-only: they are cached and shared."""
-        lo, hi = self._effective_support
-        xs = np.linspace(lo, hi, size)
-        fs = np.array([max(float(self.pdf(float(x))), 0.0) for x in xs])
+    def _window(self) -> tuple[float, float]:
+        """The support, each infinite end moved in to leave 1e-12 beyond."""
+        lo, hi = self.support
+        return (lo if math.isfinite(lo) else quantile(self, _TABLE_TAIL),
+                hi if math.isfinite(hi) else quantile(self, 1.0 - _TABLE_TAIL))
+
+    @cached_property
+    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Trapezoid CDF on 8193 equispaced points of the window, for sample
+        and levy_metric (read-only: cached and shared)."""
+        lo, hi = self._window()
+        xs = np.linspace(lo, hi, _TABLE_SIZE)
+        fs = _pdf_on_grid(self, xs)
         steps = 0.5 * (fs[1:] + fs[:-1]) * np.diff(xs)
-        cum = np.concatenate([[0.0], np.cumsum(steps)])
-        cum /= cum[-1]
+        cum = cdf(self, lo) + np.concatenate([[0.0], np.cumsum(steps)])
         xs.flags.writeable = False
         cum.flags.writeable = False
         return xs, cum
 
-    @cached_property
-    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """CDF table used for bulk sampling."""
-        return self._fill_cdf_table(4097)
 
-    @cached_property
-    def _levy_cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Finer CDF table (resolution ~ support/8192) used by levy_metric."""
-        return self._fill_cdf_table(8193)
+def _pdf_on_grid(d: Density, xs: np.ndarray) -> np.ndarray:
+    """The pdf, clipped at zero, on equispaced xs; NonConvergenceError when
+    their trapezoid mass misses the partition's over the grid by over 1e-3."""
+    fs = np.maximum(np.fromiter(map(d.pdf, xs.tolist()), float, xs.size), 0.0)
+    lo, hi = float(xs[0]), float(xs[-1])
+    miss = _trapezoid(fs, (hi - lo) / (xs.size - 1)) - (cdf(d, hi) - cdf(d, lo))
+    if not abs(miss) <= _GRID_MASS_TOL:
+        raise NonConvergenceError(f"a {xs.size}-point pdf grid on ({lo:.6g}, {hi:.6g}) "
+                                  f"misses the density's mass there by {miss:.3g}")
+    return fs
 
 
 class Empirical(Discrete):
@@ -197,8 +218,10 @@ def _require_dist(mu) -> None:
         )
 
 
-def cdf(mu: Dist, x: float, tol: float = _CDF_TOL) -> float:
-    """F(x) = mu((-inf, x]); right-continuous, includes an atom at x."""
+def cdf(mu: Dist, x: float) -> float:
+    """F(x) = mu((-inf, x]); right-continuous, includes an atom at x.  For a
+    Density: a prefix mass of the partition plus one partial panel, accurate
+    to 1e-10 over the whole support, heavy tails included."""
     _require_dist(mu)
     x = float(x)
     if math.isnan(x):
@@ -206,26 +229,21 @@ def cdf(mu: Dist, x: float, tol: float = _CDF_TOL) -> float:
     if isinstance(mu, Discrete):
         idx = int(np.searchsorted(mu.points, x, side="right"))
         return float(mu._cumweights[idx - 1]) if idx > 0 else 0.0
-    lo, hi = mu.support
-    if x <= lo:
+    edges, mass = mu._partition
+    if x <= edges[0]:
         return 0.0
-    a, b = lo, min(x, hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        # an infinite tail would let the truncation doublings agree on ~0
-        # before ever reaching the bulk; the effective window carries all
-        # mass up to ~1e-20, far below any useful cdf tolerance
-        elo, ehi = mu._effective_support
-        if x <= elo:
-            return 0.0
-        a, b = max(lo, elo), min(b, ehi)
-    if b <= a:
-        return 0.0
-    value = integrate(mu.pdf, a, b, tol=tol)
+    if x >= edges[-1]:
+        return min(float(mass[-1]), 1.0)
+    i = int(np.searchsorted(edges, x, side="right")) - 1
+    value = float(mass[i]) + integrate(mu.pdf, float(edges[i]), x, tol=_CDF_TOL)
     return min(max(value, 0.0), 1.0)
 
 
 def quantile(mu: Dist, p: float) -> float:
-    """Generalized inverse CDF: inf{x : cdf(mu, x) >= p} for p in (0, 1)."""
+    """Generalized inverse CDF: inf{x : cdf(mu, x) >= p} for p in (0, 1).  For
+    a Density: bisection inside the partition panel whose mass reaches p (its
+    last edge beyond the partition's mass), so cdf at the result is within
+    1e-10 of p over the whole support, heavy tails included."""
     _require_dist(mu)
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -233,18 +251,11 @@ def quantile(mu: Dist, p: float) -> float:
     if isinstance(mu, Discrete):
         idx = int(np.searchsorted(mu._cumweights, p, side="left"))
         return float(mu.points[min(idx, mu.points.size - 1)])
-    lo, hi = mu.support
-    lo_b, hi_b = lo, hi
-    if not math.isfinite(lo_b):
-        lo_b, step = -1.0, 1.0
-        while cdf(mu, lo_b) >= p:
-            lo_b -= step
-            step *= 2.0
-    if not math.isfinite(hi_b):
-        hi_b, step = 1.0, 1.0
-        while cdf(mu, hi_b) < p:
-            hi_b += step
-            step *= 2.0
+    edges, mass = mu._partition
+    i = int(np.searchsorted(mass, p, side="left"))
+    if i == mass.size:
+        return float(edges[-1])
+    lo_b, hi_b = float(edges[i - 1]), float(edges[i])
     # bisect keeping cdf(lo_b) < p <= cdf(hi_b)
     for _ in range(200):
         mid = 0.5 * (lo_b + hi_b)
@@ -257,28 +268,22 @@ def quantile(mu: Dist, p: float) -> float:
     return hi_b
 
 
-def mean(mu: Dist, tol: float = _MOMENT_TOL) -> float:
-    """First moment; raises NonConvergenceError for heavy tails."""
+def mean(mu: Dist) -> float:
+    """First moment (of a Density to 1e-9); NonConvergenceError for heavy tails."""
     _require_dist(mu)
     if isinstance(mu, Discrete):
         return float(np.dot(mu.weights, mu.points))
-    if tol == _MOMENT_TOL:
-        return mu._moments[0]
-    lo, hi = mu.support
-    return integrate(lambda x: x * mu.pdf(x), lo, hi, tol=tol)
+    return mu._moments[0]
 
 
-def variance(mu: Dist, tol: float = _MOMENT_TOL) -> float:
-    """Second central moment; raises NonConvergenceError for heavy tails."""
+def variance(mu: Dist) -> float:
+    """Second central moment (of a Density to 1e-9); NonConvergenceError for
+    heavy tails."""
     _require_dist(mu)
     if isinstance(mu, Discrete):
         m = mean(mu)
         return float(np.dot(mu.weights, (mu.points - m) ** 2))
-    if tol == _MOMENT_TOL:
-        return mu._moments[1]
-    lo, hi = mu.support
-    m = mean(mu, tol)
-    return integrate(lambda x: (x - m) ** 2 * mu.pdf(x), lo, hi, tol=tol)
+    return mu._moments[1]
 
 
 def atom_mass(mu: Dist, x: float) -> float:
@@ -338,19 +343,14 @@ def _trapezoid(y: np.ndarray, dx: float) -> float:
 
 
 def _convolve_density(a: Density, b: Density) -> Density:
-    lo1, hi1 = a._effective_support
-    lo2, hi2 = b._effective_support
+    lo1, hi1 = a._window()
+    lo2, hi2 = b._window()
     span1, span2 = hi1 - lo1, hi2 - lo2
     n_grid = 4096
     dx = max(span1, span2) / (n_grid - 1)
-    m1 = int(math.ceil(span1 / dx)) + 1
-    m2 = int(math.ceil(span2 / dx)) + 1
-    g1 = lo1 + dx * np.arange(m1)
-    g2 = lo2 + dx * np.arange(m2)
-    f1 = np.array([max(float(a.pdf(float(x))), 0.0) for x in g1])
-    f2 = np.array([max(float(b.pdf(float(x))), 0.0) for x in g2])
+    f1 = _pdf_on_grid(a, lo1 + dx * np.arange(math.ceil(span1 / dx) + 1))
+    f2 = _pdf_on_grid(b, lo2 + dx * np.arange(math.ceil(span2 / dx) + 1))
     conv = np.convolve(f1, f2) * dx
-    conv = np.maximum(conv, 0.0)
     conv /= _trapezoid(conv, dx)
     zs = (lo1 + lo2) + dx * np.arange(conv.size)
     z0, z1 = float(zs[0]), float(zs[-1])
@@ -367,7 +367,7 @@ def convolve(mu: Dist, nu: Dist) -> Dist:
     Supported pairs: Discrete*Discrete (exact atom-pair enumeration with
     1e-12 merging; an Empirical counts as a Discrete and the sum is a plain
     Discrete) and Density*Density (grid convolution on a uniform grid with
-    linear interpolation).
+    linear interpolation; NonConvergenceError on heavy tails, see Density).
     """
     _require_dist(mu)
     _require_dist(nu)

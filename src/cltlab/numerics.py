@@ -4,10 +4,11 @@ Endpoints may be ``+inf``/``-inf`` and may be given in either order:
 integrating over ``(b, a)`` is the exact negation of integrating over
 ``(a, b)``.  Finite panels use an adaptive bisection scheme driven by a
 15-point Kronrod rule with its embedded 7-point Gauss rule (the panel error
-estimate is the difference between the two rules).  Infinite endpoints are
-handled by progressive truncation with a doubling radius; slowly decaying
-oscillatory integrands get a dedicated between-zeros summation accelerated
-by repeated averaging of partial sums.
+estimate is the difference between the two rules).  One shell sweep, which
+can start from given breakpoints and return its panels, handles every
+interval kind, adding shells of doubling radius at infinite ends; slowly
+decaying oscillatory integrands get a dedicated between-zeros summation
+accelerated by repeated averaging of partial sums.
 """
 
 import cmath
@@ -79,11 +80,15 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return vk, abs(vk - vg)
 
 
-def _adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
-    """Worst-panel-first bisection until the summed error estimate meets tol."""
-    value, err = _gk15(f, a, b)
-    panels = [(-err, a, b, value)]
-    n_panels = 1
+def _adaptive(f: Callable[[float], float], edges, tol: float) -> tuple[float, float, list]:
+    """Worst-panel-first bisection, starting from the panels between
+    consecutive edges, until the summed error estimate meets tol.  Returns
+    (value, error, panels); the panels are (-error, left, right, value)."""
+    panels = [(-e, pa, pb, v) for pa, pb in zip(edges, edges[1:]) for v, e in [_gk15(f, pa, pb)]]
+    value = sum((p[3] for p in panels[1:]), panels[0][3])
+    err = sum((-p[0] for p in panels[1:]), -panels[0][0])
+    heapq.heapify(panels)
+    n_panels = len(panels)
     while err > tol:
         neg_e, pa, pb, pv = heapq.heappop(panels)
         pe = -neg_e
@@ -107,64 +112,59 @@ def _adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -> tu
         n_panels += 1
     if err > tol:
         raise NonConvergenceError(
-            f"quadrature budget exhausted on ({a:.6g}, {b:.6g}): "
+            f"quadrature budget exhausted on ({edges[0]:.6g}, {edges[-1]:.6g}): "
             f"error estimate {err:.3g} > tol {tol:.3g}"
         )
-    return value, max(err, 0.0)
+    return value, max(err, 0.0), panels
 
 
-def _upper_infinite(f: Callable[[float], float], a: float, tol: float) -> float:
-    """Integral over (a, +inf) by truncation at an absolute radius that
-    doubles from 16.
+def _sweep(f: Callable[[float], float], a: float, b: float, tol: float,
+           breaks=None) -> tuple[float, list]:
+    """Integral of f over a < b and its panels, (-error, left, right, value).
 
-    Stops once both the latest shell contribution and a crude tail bound
-    (the outermost half-shell magnitude) fall below tol/4.  The radius lives
-    in absolute coordinates, not relative to ``a``: anchoring shells at the
-    endpoint would let two dead shells agree and end the sweep before it
-    ever reaches mass sitting far from ``a``.
+    A finite interval is one adaptive pass.  Otherwise a core, (-16, 16) or
+    (a, r) with r the first of 16, 32, ... beyond a, then shells [r, 1.5r]
+    and [1.5r, 2r] on each infinite side, r doubling, are refined to tol/16
+    each until the shells and their outer halves (a crude tail bound, added
+    to the error) both hold under tol/4.  The radius is absolute: shells
+    anchored at a could agree on a dead tail before reaching mass far from
+    a.  (-inf, b) is swept reflected.  Pieces start from the sorted breaks.
     """
+    if math.isinf(a) and not math.isinf(b):
+        value, panels = _sweep(lambda x: f(-x), -b, -a, tol,
+                               None if breaks is None else -breaks[::-1])
+        return value, [(ne, -pb, -pa, pv) for ne, pa, pb, pv in panels]
+    panels = []
+
+    def piece(lo: float, hi: float, piece_tol: float) -> tuple[float, float]:
+        edges = [lo, hi]
+        if breaks is not None:
+            i, j = np.searchsorted(breaks, lo, "right"), np.searchsorted(breaks, hi, "left")
+            edges[1:1] = breaks[i:j].tolist()
+        value, err, heap = _adaptive(f, edges, piece_tol)
+        panels.extend(heap)
+        return value, err
+
+    if not math.isinf(b):
+        return piece(a, b, tol)[0], panels
     piece_tol = tol / 16.0
+    sides = (1.0, -1.0) if math.isinf(a) else (1.0,)
     r = 16.0
     while r <= a:
         r *= 2.0
-    value, err = _adaptive(f, a, r, piece_tol)
+    value, err = piece(-r if math.isinf(a) else a, r, piece_tol)
     for _ in range(_MAX_SHELLS):
         mid = 1.5 * r
         top = 2.0 * r
-        near, e1 = _adaptive(f, r, mid, piece_tol)
-        far, e2 = _adaptive(f, mid, top, piece_tol)
-        value += near + far
-        err += e1 + e2
-        r = top
-        if abs(near + far) < 0.25 * tol and abs(far) < 0.25 * tol:
-            err += abs(far)
-            if err > tol:
-                raise NonConvergenceError(
-                    f"truncated improper integral error {err:.3g} exceeds tol {tol:.3g}"
-                )
-            return value
-    raise NonConvergenceError(
-        "improper integral did not settle: tail contributions kept exceeding tol/4 "
-        f"out to radius {r:.3g}"
-    )
-
-
-def _both_infinite(f: Callable[[float], float], tol: float) -> float:
-    """Integral over (-inf, +inf) by symmetric truncation with doubling radius."""
-    piece_tol = tol / 16.0
-    value, err = _adaptive(f, -16.0, 16.0, piece_tol)
-    r = 16.0
-    for _ in range(_MAX_SHELLS):
-        mid = 1.5 * r
-        top = 2.0 * r
-        near_p, e1 = _adaptive(f, r, mid, piece_tol)
-        far_p, e2 = _adaptive(f, mid, top, piece_tol)
-        near_m, e3 = _adaptive(f, -mid, -r, piece_tol)
-        far_m, e4 = _adaptive(f, -top, -mid, piece_tol)
-        inc = near_p + far_p + near_m + far_m
+        inc = tail = shell_err = 0.0
+        for side in sides:
+            for lo, hi in ((r, mid), (mid, top)):
+                part, e = piece(lo, hi, piece_tol) if side > 0 else piece(-hi, -lo, piece_tol)
+                inc += part
+                shell_err += e
+            tail += abs(part)
         value += inc
-        err += e1 + e2 + e3 + e4
-        tail = abs(far_p) + abs(far_m)
+        err += shell_err
         r = top
         if abs(inc) < 0.25 * tol and tail < 0.25 * tol:
             err += tail
@@ -172,7 +172,7 @@ def _both_infinite(f: Callable[[float], float], tol: float) -> float:
                 raise NonConvergenceError(
                     f"truncated improper integral error {err:.3g} exceeds tol {tol:.3g}"
                 )
-            return value
+            return value, panels
     raise NonConvergenceError(
         "improper integral did not settle: tail contributions kept exceeding tol/4 "
         f"out to radius {r:.3g}"
@@ -208,13 +208,7 @@ def integrate(f: Callable[[float], float], a: float, b: float, tol: float = DEFA
         return 0.0
     if a > b:
         return -integrate(f, b, a, tol)
-    if math.isinf(a) and math.isinf(b):
-        return _both_infinite(f, tol)
-    if math.isinf(b):
-        return _upper_infinite(f, a, tol)
-    if math.isinf(a):
-        return _upper_infinite(lambda x: f(-x), -b, tol)
-    return _adaptive(f, a, b, tol)[0]
+    return _sweep(f, a, b, tol)[0]
 
 
 def integrate_complex(
@@ -306,7 +300,7 @@ def integrate_oscillatory(
                 raise ValueError("zeros() does not advance past the current panel")
             if not z > bounds[-1]:
                 continue
-            t, _ = _adaptive(f, bounds[-1], z, piece_tol)
+            t = _adaptive(f, (bounds[-1], z), piece_tol)[0]
             bounds.append(z)
             terms.append(t)
             if abs(t) < 1e-300:

@@ -26,7 +26,6 @@ from .distributions import (
     variance,
 )
 from .errors import AtomOnGridError
-from .numerics import integrate
 
 _LEVY_SLACK = 1e-12
 
@@ -152,9 +151,7 @@ def integral_against(fn: Callable[[float], float], mu: Dist, tol: float = 1e-9) 
     _require_dist(mu)
     if isinstance(mu, Discrete):
         return float(np.dot(mu.weights, [fn(float(x)) for x in mu.points]))
-    lo, hi = mu.support
-    pdf = mu.pdf
-    return integrate(lambda x: fn(x) * pdf(x), lo, hi, tol)
+    return mu._integral(fn, tol)
 
 
 def portmanteau_testfn(mu: Dist, probe: ConvergenceProbe) -> list[float]:
@@ -220,10 +217,10 @@ class _StepCdf:
 
 
 class _TableCdf:
-    """Piecewise-linear CDF of a Density from its cached Levy table."""
+    """Piecewise-linear CDF of a Density from its cached table."""
 
     def __init__(self, d: Density):
-        self.xs, self.cum = d._levy_cdf_table
+        self.xs, self.cum = d._cdf_table
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return np.interp(x, self.xs, self.cum, left=0.0, right=1.0)

@@ -1,5 +1,7 @@
+import contextlib
 import io
 import math
+import signal
 import time
 
 import numpy as np
@@ -37,8 +39,14 @@ from cltlab.distributions import (
 )
 from cltlab.charfuns import charfun
 from cltlab.clt import CltExperiment, center, run_clt
-from cltlab.errors import SizeLimitError
-from cltlab.weak_convergence import ConvergenceProbe, cdf_distance, default_grid, levy_metric
+from cltlab.errors import NonConvergenceError, SizeLimitError
+from cltlab.weak_convergence import (
+    ConvergenceProbe,
+    cdf_distance,
+    default_grid,
+    integral_against,
+    levy_metric,
+)
 from oracles import coin_sum_cdf, discrete_dists, normal_cdf
 
 
@@ -192,6 +200,80 @@ class TestMoments:
         e = Empirical(np.array([1.0, 3.0]))
         assert mean(e) == 2.0
         assert variance(e) == 1.0
+
+
+@contextlib.contextmanager
+def wall_clock_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run for ``seconds``, so
+    that an endless loop fails the test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestNarrowDensity:
+    """N(0, 0.01): a peak far narrower than the first quadrature panel."""
+
+    def test_cdf_and_moments(self):
+        d = normal(0.0, 0.01)
+        assert abs(cdf(d, 0.0) - 0.5) <= 1e-10
+        assert abs(variance(d) - 0.01) <= 1e-9
+        clamp01 = lambda x: min(max(x, 0.0), 1.0)
+        # E[min(max(X, 0), 1)] = E[X+] = sd / sqrt(2 pi); P(X > 1) ~ 1e-23
+        assert abs(integral_against(clamp01, d) - 0.1 / math.sqrt(2.0 * math.pi)) <= 1e-9
+
+    def test_quantile(self):
+        d = normal(0.0, 0.01)
+        with wall_clock_limit(10.0):
+            q = quantile(d, 0.9)
+        assert abs(q - 0.1 * 1.2815515655446004) <= 1e-10
+
+
+def laplace_density():
+    return Density(lambda x: 0.5 * math.exp(-abs(x)), (-math.inf, math.inf))
+
+
+def cauchy_density():
+    return Density(lambda x: 1.0 / (math.pi * (1.0 + x * x)), (-math.inf, math.inf))
+
+
+class TestHeavyTails:
+    def test_laplace_tail_cdf(self):
+        d = laplace_density()
+        for x in (-14.0, -25.0):
+            assert abs(cdf(d, x) - 0.5 * math.exp(x)) <= 1e-10
+        assert abs(cdf(d, 14.0) - (1.0 - 0.5 * math.exp(-14.0))) <= 1e-10
+
+    def test_logistic_tail_cdf(self):
+        def pdf(x):
+            e = math.exp(-abs(x))
+            return e / (1.0 + e) ** 2
+
+        d = Density(pdf, (-math.inf, math.inf))
+        for x in (-25.0, -20.0, -3.0, 19.0, 25.0):
+            assert abs(cdf(d, x) - 1.0 / (1.0 + math.exp(-x))) <= 1e-10
+
+    def test_cauchy(self):
+        d = cauchy_density()
+        for x in (-1e6, -30.0, 0.0, 3.0, 200.0):
+            assert abs(cdf(d, x) - (0.5 + math.atan(x) / math.pi)) <= 1e-10
+        q = quantile(d, 0.9)
+        assert abs(q - math.tan(0.4 * math.pi)) <= 1e-8
+        assert abs(0.5 + math.atan(q) / math.pi - 0.9) <= 1e-10
+        # everything that needs more than the CDF fails loudly
+        for op in (lambda: mean(d), lambda: variance(d), lambda: sample(d, 10, seed=0),
+                   lambda: levy_metric(d, standard_normal()), lambda: convolve(d, d),
+                   lambda: convolve(standard_normal(), d)):
+            with pytest.raises(NonConvergenceError):
+                op()
 
 
 class TestNormalDensity:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from cltlab.numerics import (
     integrate_oscillatory,
     sinc,
 )
+from cltlab.numerics import _sweep
 from oracles import double_factorial_moment
 
 
@@ -207,3 +209,36 @@ class TestExpTaylorRemainder:
         first = abs(x) ** (n + 1) / math.factorial(n + 1)
         second = 2.0 * abs(x) ** n / math.factorial(n)
         assert v <= min(first, second) + 1e-12
+
+
+class TestSweep:
+    def test_panels_tile_the_swept_range(self):
+        exp_tail = lambda x: math.exp(-abs(x))
+        for f, a, b in [(normal_pdf, -2.0, 3.0), (exp_tail, 1.0, math.inf),
+                        (exp_tail, -math.inf, -1.0), (normal_pdf, -math.inf, math.inf)]:
+            value, panels = _sweep(f, a, b, 1e-10)
+            assert value == integrate(f, a, b, 1e-10)
+            spans = sorted((pa, pb) for _, pa, pb, _ in panels)
+            assert all(p[1] == q[0] for p, q in zip(spans, spans[1:]))
+            if math.isfinite(a):
+                assert spans[0][0] == a
+            if math.isfinite(b):
+                assert spans[-1][1] == b
+            assert abs(math.fsum(pv for *_, pv in panels) - value) <= 1e-15
+
+    def test_breaks_seed_the_panels(self):
+        breaks = np.array([-30.0, -1.0, 0.25, 3.0, 20.0])
+        value, panels = _sweep(normal_pdf, -math.inf, math.inf, 1e-10, breaks)
+        edges = {pa for _, pa, _, _ in panels}
+        assert set(breaks) <= edges
+        assert abs(value - 1.0) <= 1e-10
+
+    def test_seeds_find_a_peak_the_core_panel_misses(self):
+        # x^2 times a narrow peak vanishes at the core's centre node, so an
+        # unseeded sweep scores the whole core panel as empty; the panels of
+        # the peak itself carry the seeds
+        narrow = lambda x: math.exp(-0.5 * (x / 0.1) ** 2) / (0.1 * math.sqrt(2.0 * math.pi))
+        _, panels = _sweep(narrow, -math.inf, math.inf, 1e-10)
+        edges = np.array(sorted({pa for _, pa, _, _ in panels}))
+        value = _sweep(lambda x: x * x * narrow(x), -math.inf, math.inf, 1e-9, edges)[0]
+        assert abs(value - 0.01) <= 1e-9
