@@ -1,9 +1,12 @@
 """Characteristic functions and the Levy inversion formula.
 
 phi(t) = integral of e^{itx} mu(dx): an exact weighted sum over the atoms
-of a Discrete (an Empirical included), and coordinatewise quadrature
-against the density for a Density.  Inversion recovers mu((a, b]) for
-non-atom endpoints a < b by integrating the truncated Levy kernel.
+of a Discrete (an Empirical included).  For a Density it is a GK15 sum over
+the panels of the Density's cached partition: the pdf values at their nodes
+are evaluated once and kept, each t reweights them by e^{itx}, and only the
+panels whose Kronrod-Gauss gap is too large for that t are bisected.
+Inversion recovers mu((a, b]) for non-atom endpoints a < b by integrating
+the real part of the truncated Levy kernel.
 """
 
 import cmath
@@ -12,9 +15,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .distributions import Discrete, Dist, mean, variance, _require_dist
+from .distributions import (
+    _PARTITION_TAIL, Density, Discrete, Dist, _require_dist, mean, variance,
+)
 from .errors import NonConvergenceError
-from .numerics import DEFAULT_TOL, integrate_complex
+from .numerics import DEFAULT_TOL, _batched_rounds, _check_tol, integrate
 from .weak_convergence import integral_against
 
 _T_START = 64.0
@@ -25,8 +30,14 @@ def charfun(mu: Dist, t: float, tol: float = DEFAULT_TOL) -> complex:
     """Characteristic function of mu evaluated at t.
 
     t = 0 returns exactly 1+0j (the total mass, which every representation
-    guarantees by construction); elsewhere a Density is integrated
-    coordinatewise to the given tolerance.
+    guarantees by construction).  For a Density the summed |kronrod - gauss|
+    estimates over the partition's panels, bisected in batched rounds, plus
+    the partition's bound on the mass beyond its panels stay within tol (a
+    tol under twice that bound integrates the infinite ends beyond the
+    panels instead).  The panels depend only on t and tol, so the value does
+    not depend on earlier calls; the pdf values at their nodes are kept on
+    the Density (up to 60,000 panels) and shared by later calls.
+    NonConvergenceError when 60,000 panels do not meet tol.
     """
     _require_dist(mu)
     t = float(t)
@@ -38,11 +49,30 @@ def charfun(mu: Dist, t: float, tol: float = DEFAULT_TOL) -> complex:
         re = float(np.dot(mu.weights, np.cos(t * mu.points)))
         im = float(np.dot(mu.weights, np.sin(t * mu.points)))
         return complex(re, im)
+    return _density_charfun(mu, t, tol)
+
+
+def _density_charfun(mu: Density, t: float, tol: float) -> complex:
+    """phi(t) of a Density over the panels of its partition, refined in
+    batched rounds; the partition's tail bound counts against tol, and when
+    it exceeds tol/2 the infinite ends beyond the panels are swept instead."""
+    _check_tol(tol)
+    edges = mu._partition[0]
     lo, hi = mu.support
-    pdf = mu.pdf
-    return integrate_complex(
-        lambda x: complex(math.cos(t * x) * pdf(x), math.sin(t * x) * pdf(x)), lo, hi, tol
-    )
+    ends = [(x, y) for x, y in ((lo, float(edges[0])), (float(edges[-1]), hi))
+            if math.isinf(x) or math.isinf(y)]
+    tail = _PARTITION_TAIL if ends else 0.0
+    swept = tail > 0.5 * tol
+    if swept:
+        tail = 0.5 * tol
+    value = complex(_batched_rounds(mu._node_values, lambda x: np.exp(1j * t * x),
+                                    edges, tol - tail)[0])
+    if swept:
+        pdf = mu.pdf
+        for x, y in ends:
+            value += complex(integrate(lambda u: math.cos(t * u) * pdf(u), x, y, tol / 8.0),
+                             integrate(lambda u: math.sin(t * u) * pdf(u), x, y, tol / 8.0))
+    return value
 
 
 def char_fn(mu: Dist, tol: float = DEFAULT_TOL) -> Callable[[float], complex]:
@@ -101,19 +131,23 @@ def _kernel(t: float, a: float, b: float) -> complex:
 
 
 def _invert_at(
-    phi: Callable[[float], complex], a: float, b: float, T: float, tol: float, damping: float
+    phi: Callable[[float], complex], a: float, b: float, lo: float, hi: float, tol: float,
+    damping: float,
 ) -> float:
+    """(1/2pi) times the integral over (lo, hi) of the real part of the
+    inversion integrand, whose imaginary part is odd in t and so integrates
+    to zero over the symmetric ranges levy_invert assembles."""
     if damping > 0.0:
 
-        def integrand(t: float) -> complex:
-            return _kernel(t, a, b) * phi(t) * math.exp(-damping * t * t)
+        def integrand(t: float) -> float:
+            return (_kernel(t, a, b) * phi(t) * math.exp(-damping * t * t)).real
 
     else:
 
-        def integrand(t: float) -> complex:
-            return _kernel(t, a, b) * phi(t)
+        def integrand(t: float) -> float:
+            return (_kernel(t, a, b) * phi(t)).real
 
-    return integrate_complex(integrand, -T, T, tol).real / (2.0 * math.pi)
+    return integrate(integrand, lo, hi, tol) / (2.0 * math.pi)
 
 
 def levy_invert(
@@ -126,12 +160,15 @@ def levy_invert(
 ) -> float:
     """Estimate mu((a, b]) from the characteristic function phi.
 
-    Computes (1/2pi) * integral_{-T}^{T} (e^{-ita} - e^{-itb})/(it) phi(t) dt.
-    The endpoints must satisfy a < b and should not be atoms of mu.  When T
-    is omitted the truncation radius doubles from 64 until two successive
-    estimates agree within tol (capped at 1e5); lattice characteristic
-    functions oscillate under raw truncation, so either pass T explicitly
-    or use a small Gaussian ``damping`` (1e-6 works well).
+    Computes (1/2pi) * integral_{-T}^{T} (e^{-ita} - e^{-itb})/(it) phi(t) dt,
+    integrating its real part only.  The endpoints must satisfy a < b and
+    should not be atoms of mu.  When T is omitted the radius doubles from
+    64, capped at 1e5: the core (-64, 64) takes tol/2 and each doubling adds
+    the shells [-2T, -T] and [T, 2T] at half the previous tolerance, so the
+    error estimates sum to at most tol, until a pair of shells adds less
+    than tol.  Lattice characteristic functions oscillate under raw
+    truncation, so either pass T explicitly or use a small Gaussian
+    ``damping`` (1e-6 works well).
     """
     a = float(a)
     b = float(b)
@@ -143,15 +180,18 @@ def levy_invert(
         T = float(T)
         if not (math.isfinite(T) and T > 0.0):
             raise ValueError(f"truncation radius must be positive, got {T!r}")
-        return _invert_at(phi, a, b, T, tol, damping)
+        return _invert_at(phi, a, b, -T, T, tol, damping)
     t_radius = _T_START
-    previous = None
-    while t_radius <= _T_CAP:
-        current = _invert_at(phi, a, b, t_radius, tol, damping)
-        if previous is not None and abs(current - previous) < tol:
-            return current
-        previous = current
+    piece_tol = 0.5 * tol
+    total = _invert_at(phi, a, b, -t_radius, t_radius, piece_tol, damping)
+    while 2.0 * t_radius <= _T_CAP:
+        piece_tol *= 0.5
+        shells = (_invert_at(phi, a, b, -2.0 * t_radius, -t_radius, 0.5 * piece_tol, damping)
+                  + _invert_at(phi, a, b, t_radius, 2.0 * t_radius, 0.5 * piece_tol, damping))
+        total += shells
         t_radius *= 2.0
+        if abs(shells) < tol:
+            return total
     raise NonConvergenceError(
         "inversion estimates did not settle before the truncation cap; "
         "pass T explicitly or enable damping"

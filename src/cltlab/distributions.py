@@ -19,13 +19,16 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import NonConvergenceError, SizeLimitError
-from .numerics import _sweep, integrate
+from .numerics import _MAX_PANELS, _gk15_nodes, _sweep, integrate
 
 _WEIGHT_SUM_TOL = 1e-12
 _MERGE_TOL = 1e-12
 _MEAN_ZERO_TOL = 1e-9
 _MAX_ATOMS = 1_000_000
 _CDF_TOL = 1e-10
+# the sweep behind the partition stops once its outermost shells hold under
+# a quarter of its tolerance: its bound on the mass beyond its panels
+_PARTITION_TAIL = 0.25 * _CDF_TOL
 _MOMENT_TOL = 1e-9
 _TABLE_SIZE = 8193
 _TABLE_TAIL = 1e-12  # mass a Density table leaves beyond each infinite end
@@ -104,7 +107,8 @@ class Density:
     within ``mass_tol`` (checked at construction by quadrature).  Queries
     read one partition of the pdf, built on first use at tolerance 1e-10, so
     ``cdf`` and ``quantile`` are accurate to 1e-10 over the whole support,
-    heavy tails included.  Moments, ``sample``, ``levy_metric`` and
+    heavy tails included; ``charfun`` reweights the pdf at the partition's
+    quadrature nodes.  Moments, ``sample``, ``levy_metric`` and
     ``convolve`` raise NonConvergenceError on heavy tails.
     """
 
@@ -140,6 +144,33 @@ class Density:
         edges.flags.writeable = False
         mass.flags.writeable = False
         return edges, mass
+
+    @cached_property
+    def _node_store(self) -> dict:
+        """pdf values at the GK15 nodes of panels, keyed by (left, right):
+        the partition's panels and those charfun bisects (see _node_values)."""
+        return {}
+
+    def _node_values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The pdf at the GK15 nodes of the panels (a_i, b_i), one row each:
+        read from the store, or evaluated and kept while it holds fewer than
+        _MAX_PANELS panels."""
+        store = self._node_store
+        keys = list(zip(a.tolist(), b.tolist()))
+        rows = [store.get(k) for k in keys]
+        missing = [i for i, row in enumerate(rows) if row is None]
+        if missing:
+            nodes = _gk15_nodes(a[missing], b[missing])
+            fx = np.fromiter(map(self.pdf, nodes.ravel().tolist()), float, nodes.size)
+            if not np.isfinite(fx).all():
+                bad = float(nodes.ravel()[int(np.nonzero(~np.isfinite(fx))[0][0])])
+                raise ValueError(f"integrand returned a non-finite value near x={bad:.6g}")
+            fx = fx.reshape(nodes.shape)
+            for i, row in zip(missing, fx):
+                rows[i] = row
+            room = max(_MAX_PANELS - len(store), 0)
+            store.update((keys[i], row) for i, row in zip(missing[:room], fx[:room]))
+        return np.array(rows)
 
     def _integral(self, g: Callable[[float], float], tol: float) -> float:
         """Integral of g * pdf by a sweep seeded with the partition's edges

@@ -8,7 +8,9 @@ estimate is the difference between the two rules).  One shell sweep, which
 can start from given breakpoints and return its panels, handles every
 interval kind, adding shells of doubling radius at infinite ends; slowly
 decaying oscillatory integrands get a dedicated between-zeros summation
-accelerated by repeated averaging of partial sums.
+accelerated by repeated averaging of partial sums.  A weighted integral
+over a given set of panels, the integrand's node values supplied by the
+caller, is refined in batched bisection rounds instead of panel by panel.
 """
 
 import cmath
@@ -116,6 +118,58 @@ def _adaptive(f: Callable[[float], float], edges, tol: float) -> tuple[float, fl
             f"error estimate {err:.3g} > tol {tol:.3g}"
         )
     return value, max(err, 0.0), panels
+
+
+def _gk15_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 15 Kronrod nodes of each panel (a_i, b_i), one row per panel."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    return c[:, None] + h[:, None] * _XK
+
+
+def _weighted_gk15(fx: np.ndarray, weight, a: np.ndarray, b: np.ndarray):
+    """Kronrod values and |kronrod - gauss| estimates of the integrals of
+    weight(x) * f(x) over the panels (a_i, b_i), given fx, f at their nodes."""
+    h = 0.5 * (b - a)
+    y = fx * weight(_gk15_nodes(a, b))
+    return h * (y * _WK).sum(axis=1), h * np.abs((y * (_WK - _WG)).sum(axis=1))
+
+
+def _batched_rounds(values, weight, edges, tol: float):
+    """Integral of weight(x) * f(x) over the panels between consecutive
+    edges, f known through values(a, b), its values at the _gk15_nodes of
+    the panels (a_i, b_i), and weight vectorised over an array of nodes.
+
+    Each round scores every panel by |kronrod - gauss| and, until the scores
+    sum to at most tol, bisects at once the panels whose score exceeds tol
+    over the panel count (the worst panel at least).  Every step is fixed by
+    the edges, the weight and tol, so the result is too.  Returns (value,
+    error); NonConvergenceError past _MAX_PANELS panels or when a panel due
+    for bisection is too narrow to split.
+    """
+    a = np.asarray(edges[:-1], dtype=float)
+    b = np.asarray(edges[1:], dtype=float)
+    v, e = _weighted_gk15(values(a, b), weight, a, b)
+    while True:
+        err = float(e.sum())
+        if err <= tol:
+            return v.sum(), err
+        split = e >= min(tol / e.size, float(e.max()))
+        lo, hi = a[split], b[split]
+        mid = 0.5 * (lo + hi)
+        if e.size + mid.size > _MAX_PANELS or not np.all((lo < mid) & (mid < hi)):
+            raise NonConvergenceError(
+                f"quadrature budget exhausted on ({edges[0]:.6g}, {edges[-1]:.6g}): "
+                f"error estimate {err:.3g} > tol {tol:.3g}"
+            )
+        ca = np.concatenate([lo, mid])
+        cb = np.concatenate([mid, hi])
+        cv, ce = _weighted_gk15(values(ca, cb), weight, ca, cb)
+        keep = ~split
+        a = np.concatenate([a[keep], ca])
+        b = np.concatenate([b[keep], cb])
+        v = np.concatenate([v[keep], cv])
+        e = np.concatenate([e[keep], ce])
 
 
 def _sweep(f: Callable[[float], float], a: float, b: float, tol: float,

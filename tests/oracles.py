@@ -21,6 +21,14 @@ def normal_mass(a: float, b: float) -> float:
     return normal_cdf(b) - normal_cdf(a)
 
 
+def damped_mass(points, weights, a: float, b: float, damping: float) -> float:
+    """mu((a, b]) for the atoms convolved with N(0, 2 damping), the law whose
+    characteristic function is phi(t) exp(-damping t^2)."""
+    s = math.sqrt(2.0 * damping)
+    return sum(w * (normal_cdf((b - x) / s) - normal_cdf((a - x) / s))
+               for x, w in zip(points, weights))
+
+
 def double_factorial_moment(k: int) -> float:
     # m_k = (k-1) * m_{k-2}, m_0 = 1, m_1 = 0
     m_prev, m_cur = 1.0, 0.0

@@ -16,17 +16,21 @@ from cltlab.charfuns import (
     second_order_check,
 )
 from cltlab.distributions import (
+    Density,
     Discrete,
     Empirical,
     convolve,
     fair_die,
+    normal,
+    normal_density,
     point_mass,
     rademacher,
     shift_scale,
     standard_normal,
 )
 from cltlab.errors import NonConvergenceError
-from oracles import discrete_dists, normal_mass
+from oracles import damped_mass, discrete_dists, normal_mass
+from test_distribution import wall_clock_limit
 
 T_GRID_20 = np.linspace(-10.0, 10.0, 20)
 
@@ -71,6 +75,80 @@ class TestCharfun:
     @settings(max_examples=60, deadline=None)
     def test_conjugate_symmetry(self, mu, t):
         assert abs(charfun(mu, -t) - charfun(mu, t).conjugate()) < 1e-9
+
+
+def _logistic_pdf(x):
+    e = math.exp(-abs(x))
+    return e / (1.0 + e) ** 2
+
+
+def _mixture_pdf(x):
+    return 0.4 * normal_density(x, -2.0, 0.8) + 0.6 * normal_density(x, 1.5, 1.2)
+
+
+# (Density, closed-form characteristic function)
+CLOSED_FORMS = {
+    "normal": (lambda: normal(0.3, 1.2), lambda t: cmath.exp(0.3j * t - 0.6 * t * t)),
+    "laplace": (lambda: Density(lambda x: 0.5 * math.exp(-abs(x)), (-math.inf, math.inf)),
+                lambda t: 1.0 / (1.0 + t * t)),
+    "logistic": (lambda: Density(_logistic_pdf, (-math.inf, math.inf)),
+                 lambda t: math.pi * t / math.sinh(math.pi * t) if t else 1.0),
+    "uniform": (lambda: Density(lambda x: 1.0 if 0.0 <= x <= 1.0 else 0.0, (0.0, 1.0)),
+                lambda t: (cmath.exp(1j * t) - 1.0) / (1j * t) if t else 1.0),
+    "mixture": (lambda: Density(_mixture_pdf, (-math.inf, math.inf)),
+                lambda t: 0.4 * cmath.exp(-2.0j * t - 0.4 * t * t)
+                + 0.6 * cmath.exp(1.5j * t - 0.6 * t * t)),
+}
+
+
+class TestDensityCharfun:
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_closed_form(self, name):
+        build, cf = CLOSED_FORMS[name]
+        d = build()
+        for t in np.linspace(-50.0, 50.0, 41):
+            assert abs(charfun(d, float(t)) - cf(float(t))) <= 1e-8
+        for t in (0.5, 3.0):
+            assert abs(charfun(d, t, tol=1e-12) - cf(t)) <= 1e-12
+
+    def test_independent_of_call_history(self):
+        d = normal(0.3, 1.2)
+        first = charfun(d, 1.7)
+        for t in np.linspace(-40.0, 40.0, 401):
+            charfun(d, float(t))
+        again = charfun(d, 1.7)
+        fresh = charfun(normal(0.3, 1.2), 1.7)
+        assert (again.real, again.imag) == (first.real, first.imag)
+        assert (fresh.real, fresh.imag) == (first.real, first.imag)
+
+    def test_pdf_evaluations_shared_across_t(self):
+        calls = []
+
+        def pdf(x):
+            calls.append(x)
+            return normal_density(x, 0.3, 1.2)
+
+        d = Density(pdf, (-math.inf, math.inf))
+        calls.clear()
+        for t in np.linspace(-10.0, 10.0, 21):
+            assert abs(charfun(d, float(t)) - CLOSED_FORMS["normal"][1](float(t))) <= 1e-8
+        # the partition build included; one quadrature from scratch per t
+        # spends this many on a single t
+        assert len(calls) <= 1260
+
+    def test_cauchy_converges_or_fails_loudly(self):
+        d = Density(lambda x: 1.0 / (math.pi * (1.0 + x * x)), (-math.inf, math.inf))
+        with wall_clock_limit(5.0):
+            try:
+                value = charfun(d, 1.0)
+            except NonConvergenceError:
+                return
+        assert abs(value - math.exp(-1.0)) <= 1e-8
+
+    def test_bad_tol_rejected(self):
+        for tol in (0.0, -1e-8, math.nan):
+            with pytest.raises(ValueError):
+                charfun(standard_normal(), 1.0, tol=tol)
 
 
 class TestNormalCharfun:
@@ -178,6 +256,16 @@ class TestLevyInvert:
             levy_invert(phi, 0.0, 2.0, tol=1e-6)
         v = levy_invert(phi, 0.0, 2.0, tol=1e-6, damping=1e-6)
         assert abs(v - 0.5) < 1e-3
+
+    def test_lattice_damped_auto_t(self):
+        phi = lambda t: complex(math.cos(t), 0.0)
+        v = levy_invert(phi, 0.0, 2.0, tol=1e-6, damping=1e-6)
+        assert abs(v - damped_mass([-1.0, 1.0], [0.5, 0.5], 0.0, 2.0, 1e-6)) <= 1e-6
+
+    def test_auto_t_density_charfun(self):
+        v = levy_invert(char_fn(normal(0.3, 1.2)), -1.0, 1.5, tol=1e-8)
+        ref = normal_mass((-1.0 - 0.3) / math.sqrt(1.2), (1.5 - 0.3) / math.sqrt(1.2))
+        assert abs(v - ref) <= 1e-8
 
     def test_discrete_charfun_round_trip(self):
         mu = fair_die()

@@ -13,7 +13,7 @@ from cltlab.numerics import (
     integrate_oscillatory,
     sinc,
 )
-from cltlab.numerics import _sweep
+from cltlab.numerics import _batched_rounds, _gk15_nodes, _sweep
 from oracles import double_factorial_moment
 
 
@@ -242,3 +242,26 @@ class TestSweep:
         edges = np.array(sorted({pa for _, pa, _, _ in panels}))
         value = _sweep(lambda x: x * x * narrow(x), -math.inf, math.inf, 1e-9, edges)[0]
         assert abs(value - 0.01) <= 1e-9
+
+
+class TestBatchedRounds:
+    def test_reweights_node_values(self):
+        # integral of e^{itx} over (0, 1) from panels whose node values are 1
+        asked = []
+
+        def ones(a, b):
+            asked.append(a.size)
+            return np.ones_like(_gk15_nodes(a, b))
+
+        for t in (0.5, 40.0):
+            value, err = _batched_rounds(ones, lambda x: np.exp(1j * t * x),
+                                         np.array([0.0, 0.5, 1.0]), 1e-10)
+            assert abs(value - (np.exp(1j * t) - 1.0) / (1j * t)) <= 1e-10
+            assert err <= 1e-10
+        # t = 40 bisects: later rounds ask only for the new panels' values
+        assert asked[0] == asked[1] == 2 and len(asked) > 2
+
+    def test_panel_cap_raises(self):
+        ones = lambda a, b: np.ones_like(_gk15_nodes(a, b))
+        with pytest.raises(NonConvergenceError):
+            _batched_rounds(ones, lambda x: np.exp(1e7j * x), np.array([0.0, 1.0]), 1e-10)
