@@ -36,7 +36,8 @@ def charfun(mu: Dist, t: float, tol: float = DEFAULT_TOL) -> complex:
     tol under twice that bound integrates the infinite ends beyond the
     panels instead).  The panels depend only on t and tol, so the value does
     not depend on earlier calls; the pdf values at their nodes are kept on
-    the Density (up to 60,000 panels) and shared by later calls.
+    the Density (up to 60,000 panels, from calls that converge) and shared
+    by later calls.
     NonConvergenceError when 60,000 panels do not meet tol.
     """
     _require_dist(mu)
@@ -65,8 +66,10 @@ def _density_charfun(mu: Density, t: float, tol: float) -> complex:
     swept = tail > 0.5 * tol
     if swept:
         tail = 0.5 * tol
-    value = complex(_batched_rounds(mu._node_values, lambda x: np.exp(1j * t * x),
-                                    edges, tol - tail)[0])
+    fresh = {}
+    value = complex(_batched_rounds(lambda a, b: mu._node_values(a, b, fresh),
+                                    lambda x: np.exp(1j * t * x), edges, tol - tail)[0])
+    mu._keep_nodes(fresh)
     if swept:
         pdf = mu.pdf
         for x, y in ends:

@@ -29,7 +29,8 @@ from .weak_convergence import ConvergenceProbe, cdf_distance, default_grid, levy
 
 _DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 _SIGMA2_TOL = 1e-9
-_MC_CHUNK = 10_000
+# uniforms per Monte Carlo chunk: its few working arrays stay in cache
+_MC_CHUNK_ELEMS = 1 << 14
 # distinct grids whose normal probes (and their cached normal CDF values)
 # are kept across run_clt calls
 _PROBE_CACHE_SIZE = 8
@@ -48,7 +49,11 @@ class CltExperiment:
     not already zero, and must have positive variance.  ``sigma2``, when
     given, is checked against the recomputed variance (1e-9 tolerance).
     ``grid`` defaults to the standard continuity grid for the normal limit.
-    ``mc_draws`` switches the sum construction to seeded Monte Carlo.
+    ``mc_draws`` switches the sum construction to seeded Monte Carlo: each
+    row costs O(mc_draws * n) time, with memory bounded by one chunk of
+    uniforms plus the mc_draws sums.  Each (seed, n) pair has its own
+    generator stream, unchanged by the chunking, so earlier seeded outputs
+    reproduce byte for byte.
     """
 
     base: Discrete
@@ -135,20 +140,19 @@ def _mc_normalized_sum(base: Discrete, n: int, draws: int, seed: int) -> Empiric
     """Empirical law of the normalized n-fold sum from seeded sampling.
 
     Each (seed, n) pair gets its own generator stream, so a row does not
-    depend on which other rows were requested.
+    depend on which other rows were requested.  Rows are drawn in chunks of
+    about _MC_CHUNK_ELEMS uniforms (one row when n exceeds it), which keeps
+    the working arrays in cache; the stream, and so every draw, does not
+    depend on the chunking.
     """
     rng = np.random.default_rng([seed, n])
-    cum = base._cumweights
-    last = base.points.size - 1
     scale = math.sqrt(n * variance(base))
+    rows = max(1, _MC_CHUNK_ELEMS // n)
     out = np.empty(draws)
-    done = 0
-    while done < draws:
-        k = min(_MC_CHUNK, draws - done)
-        u = rng.random((k, n))
-        idx = np.minimum(np.searchsorted(cum, u, side="left"), last)
+    for done in range(0, draws, rows):
+        k = min(rows, draws - done)
+        idx = base._atom_index(rng.random((k, n)))
         out[done:done + k] = base.points[idx].sum(axis=1) / scale
-        done += k
     return Empirical(out)
 
 

@@ -10,6 +10,7 @@ p <= cdf(x).
 """
 
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -49,6 +50,10 @@ _FFT_FLOOR = 8.0
 # mass the FFT floor may remove from one lattice sum, counting its repeats
 _FFT_DROP_BUDGET = 1e-13
 _EPS = float(np.finfo(float).eps)
+# the inverse-CDF guide table has the power of two >= 4 buckets per atom,
+# clamped to 2^8..2^16 buckets
+_GUIDE_MIN_BITS = 8
+_GUIDE_MAX_BITS = 16
 
 DISCRETE_HEADER = "# discrete-dist v1"
 
@@ -97,6 +102,42 @@ class Discrete:
     @cached_property
     def _cumweights(self) -> np.ndarray:
         return np.cumsum(self.weights)
+
+    @cached_property
+    def _atom_table(self) -> tuple:
+        """Guide table of the inverse CDF (Chen & Asau 1974; Devroye 1986,
+        III.2.4): m equal buckets of [0, 1), m a power of two, each with the
+        first index whose cut reaches its left end, the one cut inside it
+        (+inf when none) and whether it holds two or more cuts.  The cuts are
+        the cumulative weights with the last one +inf, so every u maps to an
+        atom.  Returns (m, start, cut, crowded), crowded None when no bucket
+        is."""
+        cuts = self._cumweights.copy()
+        cuts[-1] = np.inf
+        m = 1 << min(max((4 * cuts.size - 1).bit_length(), _GUIDE_MIN_BITS), _GUIDE_MAX_BITS)
+        start = np.searchsorted(cuts, np.arange(m + 1) / m, side="left")
+        count = np.diff(start)
+        cut = np.full(m, np.inf)
+        single = count == 1
+        cut[single] = cuts[start[:-1][single]]
+        crowded = count > 1
+        return m, start[:-1], cut, crowded if crowded.any() else None
+
+    def _atom_index(self, u: np.ndarray) -> np.ndarray:
+        """Index of the atom the inverse CDF sends each u in [0, 1) to, the
+        first whose cumulative weight reaches u (the last atom past them
+        all): np.minimum(np.searchsorted(_cumweights, u), K - 1) exactly,
+        read from the guide table, with a search only in crowded buckets."""
+        m, start, cut, crowded = self._atom_table
+        j = (u * m).astype(np.intp)  # exact: m is a power of two
+        idx = start[j]
+        idx += cut[j] < u
+        if crowded is not None:
+            hit = crowded[j]
+            if hit.any():
+                cuts = self._cumweights
+                idx[hit] = np.minimum(np.searchsorted(cuts, u[hit], side="left"), cuts.size - 1)
+        return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,13 +189,13 @@ class Density:
     @cached_property
     def _node_store(self) -> dict:
         """pdf values at the GK15 nodes of panels, keyed by (left, right):
-        the partition's panels and those charfun bisects (see _node_values)."""
+        the partition's panels and those charfun bisects, kept only from
+        calls that converge (see _node_values and _keep_nodes)."""
         return {}
 
-    def _node_values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _node_values(self, a: np.ndarray, b: np.ndarray, fresh: dict) -> np.ndarray:
         """The pdf at the GK15 nodes of the panels (a_i, b_i), one row each:
-        read from the store, or evaluated and kept while it holds fewer than
-        _MAX_PANELS panels."""
+        read from the store, or evaluated and recorded in fresh."""
         store = self._node_store
         keys = list(zip(a.tolist(), b.tolist()))
         rows = [store.get(k) for k in keys]
@@ -168,9 +209,15 @@ class Density:
             fx = fx.reshape(nodes.shape)
             for i, row in zip(missing, fx):
                 rows[i] = row
-            room = max(_MAX_PANELS - len(store), 0)
-            store.update((keys[i], row) for i, row in zip(missing[:room], fx[:room]))
+                fresh[keys[i]] = row
         return np.array(rows)
+
+    def _keep_nodes(self, fresh: dict) -> None:
+        """Move the rows a converged call recorded into the store, while it
+        holds fewer than _MAX_PANELS panels."""
+        store = self._node_store
+        room = max(_MAX_PANELS - len(store), 0)
+        store.update(itertools.islice(fresh.items(), room))
 
     def _integral(self, g: Callable[[float], float], tol: float) -> float:
         """Integral of g * pdf by a sweep seeded with the partition's edges
@@ -594,10 +641,7 @@ def sample(mu: Dist, n: int, seed: int) -> Empirical:
     rng = np.random.default_rng(int(seed))
     u = rng.random(int(n))
     if isinstance(mu, Discrete):
-        idx = np.minimum(
-            np.searchsorted(mu._cumweights, u, side="left"), mu.points.size - 1
-        )
-        return Empirical(mu.points[idx])
+        return Empirical(mu.points[mu._atom_index(u)])
     xs, cum = mu._cdf_table
     keep = np.concatenate([[True], np.diff(cum) > 0.0])
     return Empirical(np.interp(u, cum[keep], xs[keep]))

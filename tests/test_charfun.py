@@ -138,10 +138,13 @@ class TestDensityCharfun:
 
     def test_cauchy_converges_or_fails_loudly(self):
         d = Density(lambda x: 1.0 / (math.pi * (1.0 + x * x)), (-math.inf, math.inf))
+        kept = len(d._node_store)
         with wall_clock_limit(5.0):
             try:
                 value = charfun(d, 1.0)
             except NonConvergenceError:
+                # a failing call keeps none of the node values it evaluated
+                assert len(d._node_store) == kept
                 return
         assert abs(value - math.exp(-1.0)) <= 1e-8
 

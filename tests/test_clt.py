@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cltlab.clt import (
     CltExperiment,
     ConvergenceReport,
     Row,
+    _mc_normalized_sum,
     center,
     charfun_convergence_curve,
     emit_csv,
@@ -18,12 +20,14 @@ from cltlab.clt import (
 from cltlab.distributions import (
     Density,
     Discrete,
+    Empirical,
     cdf,
     fair_die,
     iid_sum_normalized,
     mean,
     point_mass,
     rademacher,
+    sample,
     standard_normal,
     variance,
 )
@@ -151,6 +155,106 @@ class TestRunClt:
         a = run_clt(CltExperiment(fair_die(), ns=(10,), seed=1, mc_draws=5_000))
         b = run_clt(CltExperiment(fair_die(), ns=(10,), seed=2, mc_draws=5_000))
         assert a != b
+
+
+def _searchsorted_index(mu, u):
+    """The inverse CDF of a Discrete by binary search, as first written."""
+    return np.minimum(np.searchsorted(mu._cumweights, u, side="left"), mu.points.size - 1)
+
+
+def _reference_mc_sum(base, n, draws, seed):
+    """The Monte Carlo sampler as first written: a binary search per uniform,
+    10,000 rows at a time."""
+    rng = np.random.default_rng([seed, n])
+    scale = math.sqrt(n * variance(base))
+    out = np.empty(draws)
+    done = 0
+    while done < draws:
+        k = min(10_000, draws - done)
+        idx = _searchsorted_index(base, rng.random((k, n)))
+        out[done:done + k] = base.points[idx].sum(axis=1) / scale
+        done += k
+    return Empirical(out)
+
+
+def _tiny_weights():
+    # six atoms of mass 1e-9 share the first guide-table bucket
+    w = np.array([1e-9] * 6 + [0.5 - 3e-9] * 2)
+    return center(Discrete(np.arange(8.0), w))
+
+
+def _wide():
+    w = np.random.default_rng(4).random(1000)
+    return center(Discrete(np.arange(1000.0), w / w.sum()))
+
+
+SAMPLER_BASES = {
+    "coin": rademacher,
+    "die": lambda: center(fair_die()),
+    "inexact_lattice": lambda: center(Discrete(np.array([0.0, 0.1, 0.2, 0.3]),
+                                               np.array([0.4, 0.3, 0.2, 0.1]))),
+    "tiny_weights": _tiny_weights,
+    "wide": _wide,
+    # weights summing to 1 - 4e-13 (within the 1e-12 check): uniforms above
+    # the last cumulative weight go to the last atom
+    "short": lambda: Discrete(np.arange(3.0), np.array([0.25, 0.25, 0.5 - 4e-13])),
+    "empirical": lambda: Empirical(np.random.default_rng(6).integers(-3, 4, size=999)),
+}
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMonteCarloSampler:
+    @pytest.mark.parametrize("name, n, draws, seed", [
+        ("coin", 3, 25_001, 5),
+        ("die", 50, 12_345, 7),
+        ("inexact_lattice", 17, 20_000, 2),
+        ("tiny_weights", 9, 30_000, 3),
+        ("wide", 5, 25_000, 11),
+        ("die", 1, 30_000, 13),
+        ("die", 70_000, 2, 17),  # one row holds more uniforms than a chunk
+    ])
+    def test_bit_identical_to_binary_search(self, name, n, draws, seed):
+        base = SAMPLER_BASES[name]()
+        got = _mc_normalized_sum(base, n, draws, seed)
+        want = _reference_mc_sum(base, n, draws, seed)
+        for field in ("samples", "points", "weights"):
+            assert _same_bits(getattr(got, field), getattr(want, field)), field
+
+    def test_tiny_weights_take_the_crowded_path(self):
+        assert _tiny_weights()._atom_table[3] is not None
+        assert SAMPLER_BASES["die"]()._atom_table[3] is None
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_BASES))
+    def test_atom_index_equals_binary_search(self, name):
+        mu = SAMPLER_BASES[name]()
+        m = mu._atom_table[0]
+        cuts = mu._cumweights
+        # every cut, its two neighbours, every bucket edge, and the ends
+        edges = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 2.0),
+                                np.arange(m) / m, [0.0, 1.0 - 2.0**-53]])
+        u = np.concatenate([edges[(edges >= 0.0) & (edges < 1.0)],
+                            np.random.default_rng(1).random(100_000)])
+        assert np.array_equal(mu._atom_index(u), _searchsorted_index(mu, u))
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_BASES))
+    def test_sample_equals_binary_search(self, name):
+        mu = SAMPLER_BASES[name]()
+        got = sample(mu, 20_000, 9)
+        u = np.random.default_rng(9).random(20_000)
+        assert _same_bits(got.samples, mu.points[_searchsorted_index(mu, u)])
+
+    def test_memory_bounded_by_one_chunk(self):
+        base = center(fair_die())
+        tracemalloc.start()
+        try:
+            _mc_normalized_sum(base, 256, 100_000, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestNormalSideComputedOnce:
