@@ -20,7 +20,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import NonConvergenceError, SizeLimitError
-from .numerics import _MAX_PANELS, _gk15_nodes, _sweep, integrate
+from .numerics import _MAX_PANELS, _f_at_nodes, _sweep, integrate
 
 _WEIGHT_SUM_TOL = 1e-12
 _MERGE_TOL = 1e-12
@@ -31,6 +31,8 @@ _CDF_TOL = 1e-10
 # a quarter of its tolerance: its bound on the mass beyond its panels
 _PARTITION_TAIL = 0.25 * _CDF_TOL
 _MOMENT_TOL = 1e-9
+# a sweep of a pdf goes on past settled shells until it has seen this mass
+_SWEPT_MASS = 0.5
 _TABLE_SIZE = 8193
 _TABLE_TAIL = 1e-12  # mass a Density table leaves beyond each infinite end
 # above the step error of 4096+ grid points (2.4e-4 on a box pdf read as 0 at
@@ -145,11 +147,13 @@ class Density:
     """Absolutely continuous law given by a density and its support.
 
     The density must be nonnegative and integrate to one over the support
-    within ``mass_tol`` (checked at construction by quadrature).  Queries
-    read one partition of the pdf, built on first use at tolerance 1e-10, so
-    ``cdf`` and ``quantile`` are accurate to 1e-10 over the whole support,
-    heavy tails included; ``charfun`` reweights the pdf at the partition's
-    quadrature nodes.  Moments, ``sample``, ``levy_metric`` and
+    within ``mass_tol`` (checked at construction by a quadrature that finds
+    mass far from the origin, but not a peak narrower than the node spacing
+    around it, such as N(1e4, 1)).  Queries read one partition of the pdf,
+    built on first use at tolerance 1e-10, so ``cdf`` and ``quantile`` are
+    accurate to 1e-10 over the whole support, heavy tails included;
+    ``charfun`` reweights the pdf at the partition's quadrature nodes.
+    Moments, ``sample``, ``levy_metric`` and
     ``convolve`` raise NonConvergenceError on heavy tails.
     """
 
@@ -170,7 +174,7 @@ class Density:
             for x in np.linspace(sweep_lo, sweep_hi, 65):
                 if float(self.pdf(float(x))) < -1e-9:
                     raise ValueError(f"density is negative near x={float(x):.6g}")
-        mass = integrate(self.pdf, lo, hi, tol=self.mass_tol / 4.0)
+        mass = _sweep(self.pdf, lo, hi, self.mass_tol / 4.0, min_mass=_SWEPT_MASS)[0]
         if abs(mass - 1.0) > self.mass_tol:
             raise ValueError(f"density mass {mass!r} deviates from 1 beyond mass_tol")
 
@@ -178,10 +182,11 @@ class Density:
     def _partition(self) -> tuple[np.ndarray, np.ndarray]:
         """Panel edges of one sweep of the pdf at the cdf tolerance and the
         mass up to each edge (read-only: cached and shared)."""
-        _, panels = _sweep(self.pdf, *self.support, _CDF_TOL)
-        panels.sort(key=lambda panel: panel[1])
-        edges = np.array([panels[0][1]] + [pb for _, _, pb, _ in panels])
-        mass = np.concatenate([[0.0], np.cumsum([pv for *_, pv in panels])])
+        _, panels = _sweep(self.pdf, *self.support, _CDF_TOL, min_mass=_SWEPT_MASS)
+        a, b, v = (np.concatenate(column) for column in zip(*panels))
+        order = np.argsort(a)
+        edges = np.concatenate([a[order[:1]], b[order]])
+        mass = np.concatenate([[0.0], np.cumsum(v[order])])
         edges.flags.writeable = False
         mass.flags.writeable = False
         return edges, mass
@@ -201,12 +206,7 @@ class Density:
         rows = [store.get(k) for k in keys]
         missing = [i for i, row in enumerate(rows) if row is None]
         if missing:
-            nodes = _gk15_nodes(a[missing], b[missing])
-            fx = np.fromiter(map(self.pdf, nodes.ravel().tolist()), float, nodes.size)
-            if not np.isfinite(fx).all():
-                bad = float(nodes.ravel()[int(np.nonzero(~np.isfinite(fx))[0][0])])
-                raise ValueError(f"integrand returned a non-finite value near x={bad:.6g}")
-            fx = fx.reshape(nodes.shape)
+            fx = _f_at_nodes(self.pdf, a[missing], b[missing])
             for i, row in zip(missing, fx):
                 rows[i] = row
                 fresh[keys[i]] = row
@@ -220,9 +220,12 @@ class Density:
         store.update(itertools.islice(fresh.items(), room))
 
     def _integral(self, g: Callable[[float], float], tol: float) -> float:
-        """Integral of g * pdf by a sweep seeded with the partition's edges
-        (NonConvergenceError when its shells never settle)."""
-        return _sweep(lambda x: g(x) * self.pdf(x), *self.support, tol, self._partition[0])[0]
+        """Integral of g * pdf by a sweep seeded with the partition's edges,
+        out past the middle half of the mass at least (NonConvergenceError
+        when its shells never settle)."""
+        edges, mass = self._partition
+        reach = float(np.abs(edges[np.searchsorted(mass, [0.25, 0.75])]).max())
+        return _sweep(lambda x: g(x) * self.pdf(x), *self.support, tol, edges, reach=reach)[0]
 
     @cached_property
     def _moments(self) -> tuple[float, float]:

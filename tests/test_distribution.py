@@ -237,6 +237,17 @@ class TestNarrowDensity:
         assert abs(q - 0.1 * 1.2815515655446004) <= 1e-10
 
 
+@pytest.mark.parametrize("m", [40.0, 100.0, -300.0])
+def test_mass_far_from_the_origin(m):
+    # the infinite sweep's first shells are dead; it keeps adding shells
+    # until they reach the mass
+    d = normal(m, 1.0)
+    assert abs(cdf(d, m) - 0.5) <= 1e-10
+    assert abs(mean(d) - m) <= 1e-9
+    assert abs(variance(d) - 1.0) <= 1e-9
+    assert abs(quantile(d, 0.975) - m - 1.959963984540054) <= 1e-9
+
+
 def laplace_density():
     return Density(lambda x: 0.5 * math.exp(-abs(x)), (-math.inf, math.inf))
 

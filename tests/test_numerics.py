@@ -72,6 +72,12 @@ class TestIntegrate:
         rhs = 2.0 * integrate(f, 0.0, 2.0, tol) - 0.5 * integrate(g, 0.0, 2.0, tol)
         assert abs(lhs - rhs) < 3 * tol
 
+    def test_tail_below_tol_stops_at_the_first_settled_shell(self):
+        # the value is far below tol; sweeping on would reach x > 709, where
+        # math.exp overflows
+        v = integrate(lambda x: 1.0 / (1.0 + math.exp(x)), 50.0, math.inf)
+        assert abs(v - math.exp(-50.0)) <= 1e-6 * math.exp(-50.0)
+
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             integrate(math.cos, 0.0, 1.0, tol=0.0)
@@ -83,7 +89,7 @@ class TestIntegrate:
             integrate(math.cos, float("nan"), 1.0)
 
     def test_non_finite_integrand_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="near x="):
             integrate(lambda x: float("nan"), 0.0, 1.0)
 
     def test_heavy_tail_does_not_converge(self):
@@ -218,18 +224,19 @@ class TestSweep:
                         (exp_tail, -math.inf, -1.0), (normal_pdf, -math.inf, math.inf)]:
             value, panels = _sweep(f, a, b, 1e-10)
             assert value == integrate(f, a, b, 1e-10)
-            spans = sorted((pa, pb) for _, pa, pb, _ in panels)
+            lefts, rights, values = (np.concatenate(column) for column in zip(*panels))
+            spans = sorted(zip(lefts.tolist(), rights.tolist()))
             assert all(p[1] == q[0] for p, q in zip(spans, spans[1:]))
             if math.isfinite(a):
                 assert spans[0][0] == a
             if math.isfinite(b):
                 assert spans[-1][1] == b
-            assert abs(math.fsum(pv for *_, pv in panels) - value) <= 1e-15
+            assert abs(math.fsum(values) - value) <= 1e-15
 
     def test_breaks_seed_the_panels(self):
         breaks = np.array([-30.0, -1.0, 0.25, 3.0, 20.0])
         value, panels = _sweep(normal_pdf, -math.inf, math.inf, 1e-10, breaks)
-        edges = {pa for _, pa, _, _ in panels}
+        edges = set(np.concatenate([pa for pa, _, _ in panels]).tolist())
         assert set(breaks) <= edges
         assert abs(value - 1.0) <= 1e-10
 
@@ -239,9 +246,30 @@ class TestSweep:
         # the peak itself carry the seeds
         narrow = lambda x: math.exp(-0.5 * (x / 0.1) ** 2) / (0.1 * math.sqrt(2.0 * math.pi))
         _, panels = _sweep(narrow, -math.inf, math.inf, 1e-10)
-        edges = np.array(sorted({pa for _, pa, _, _ in panels}))
+        edges = np.unique(np.concatenate([pa for pa, _, _ in panels]))
         value = _sweep(lambda x: x * x * narrow(x), -math.inf, math.inf, 1e-9, edges)[0]
         assert abs(value - 0.01) <= 1e-9
+
+    def test_odd_integrand_stops_at_the_first_settled_shell(self):
+        xs = []
+
+        def odd(x):
+            xs.append(x)
+            return x * math.exp(-0.5 * x * x)
+
+        assert abs(_sweep(odd, -math.inf, math.inf, 1e-8)[0]) <= 1e-8
+        # one core panel and the two shells on each side of radius 16
+        assert len(xs) == 75 and max(map(abs, xs)) < 32.0
+
+    def test_min_mass_or_reach_finds_mass_beyond_dead_shells(self):
+        far = lambda x: normal_pdf(x - 100.0)
+        assert abs(_sweep(far, -math.inf, math.inf, 1e-10)[0]) <= 1e-10
+        value = _sweep(far, -math.inf, math.inf, 1e-10, min_mass=0.5)[0]
+        assert abs(value - 1.0) <= 1e-10
+        # told where the bulk lies, a sweep reaches it without a mass bound
+        first = lambda x: x * far(x)
+        assert abs(_sweep(first, -math.inf, math.inf, 1e-9)[0]) <= 1e-9
+        assert abs(_sweep(first, -math.inf, math.inf, 1e-9, reach=100.0)[0] - 100.0) <= 1e-9
 
 
 class TestBatchedRounds:
@@ -254,8 +282,8 @@ class TestBatchedRounds:
             return np.ones_like(_gk15_nodes(a, b))
 
         for t in (0.5, 40.0):
-            value, err = _batched_rounds(ones, lambda x: np.exp(1j * t * x),
-                                         np.array([0.0, 0.5, 1.0]), 1e-10)
+            value, err, _ = _batched_rounds(ones, lambda x: np.exp(1j * t * x),
+                                            np.array([0.0, 0.5, 1.0]), 1e-10)
             assert abs(value - (np.exp(1j * t) - 1.0) / (1j * t)) <= 1e-10
             assert err <= 1e-10
         # t = 40 bisects: later rounds ask only for the new panels' values
