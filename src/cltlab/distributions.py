@@ -446,8 +446,9 @@ def convolve(mu: Dist, nu: Dist) -> Dist:
     """Distribution of the sum of independent draws from mu and nu.
 
     Supported pairs: Discrete*Discrete (exact atom-pair enumeration with
-    1e-12 merging; an Empirical counts as a Discrete and the sum is a plain
-    Discrete) and Density*Density (grid convolution on a uniform grid with
+    1e-12 merging, up to 4e7 pairs; an Empirical counts as a Discrete and
+    the sum is a plain Discrete; ``iid_sum_normalized`` has faster paths for
+    n-fold sums) and Density*Density (grid convolution on a uniform grid with
     linear interpolation; NonConvergenceError on heavy tails, see Density).
     """
     _require_dist(mu)
@@ -587,11 +588,58 @@ def _lattice_power(mu: Discrete, n: int, span: float,
     return start + keep, wts[keep]
 
 
+def _count_vectors_within(n: int, k: int, cap: int) -> bool:
+    """Whether C(n+k-1, k-1), the number of ways to split n draws among k
+    atoms, is at most cap.  C(N, m) with m = min(n, k-1) is built up as
+    C(N-m+j, j) for j = 1..m; each step at least doubles it, so the loop
+    stops after about log2(cap) steps, before any big integer arises."""
+    m = min(n, k - 1)
+    count = 1
+    for j in range(1, m + 1):
+        count = count * (n + k - 1 - m + j) // j
+        if count > cap:
+            return False
+    return True
+
+
+def _pair_sums_distinct(points: np.ndarray) -> bool:
+    """Whether the K(K+1)/2 sums x_i + x_j (i <= j) are 1e-12 apart."""
+    i, j = np.triu_indices(points.size)
+    return bool(np.all(np.diff(np.sort(points[i] + points[j])) > _MERGE_TOL))
+
+
+def _multinomial_power(mu: Discrete, n: int) -> Discrete:
+    """The n-fold sum of mu with one atom per count vector c, |c| = n: the
+    atom sum_k c_k x_k with weight n!/prod c_k! * prod p_k^c_k.
+
+    The count vectors are enumerated one atom of mu at a time, each row
+    carrying its running point, log-weight and the draws still to place;
+    the last atom takes the rest.  So the count matrix is never stored.
+    Weights that underflow to 0.0 are dropped, sums within 1e-12 merged and
+    the weights rescaled to total mass one.
+    """
+    x, p = mu.points, mu.weights
+    c = np.arange(n + 1)
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    pt, lw, rest = np.zeros(1), np.full(1, log_fact[n]), np.full(1, n)
+    for xk, pk in zip(x[:-1], p[:-1]):
+        term = c * math.log(pk) - log_fact
+        width = rest + 1
+        row = np.repeat(np.arange(rest.size), width)
+        ck = np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
+        pt, lw, rest = pt[row] + ck * xk, lw[row] + term[ck], rest[row] - ck
+    w = np.exp(lw + (rest * math.log(p[-1]) - log_fact[rest]))
+    keep = w > 0.0
+    pts, wts = _merge_atoms(pt[keep] + rest[keep] * x[-1], w[keep])
+    return Discrete(pts, wts / wts.sum())
+
+
 def iid_sum_normalized(mu: Discrete, n: int, max_atoms: int = _MAX_ATOMS) -> Discrete:
     """Exact law of (X_1 + ... + X_n) / sqrt(n * sigma^2) for iid X_i ~ mu.
 
     Requires a Discrete mu with mean zero (|mean| <= 1e-9) and positive
-    variance.  The n-fold self-convolution is computed by binary powering.
+    variance.  One of three exact paths computes the n-fold
+    self-convolution, picked from the base's atoms, n and max_atoms.
 
     A lattice base (atoms at offset + h*k for integers k, h found as a float
     gcd of the gaps) powers its weight vector on the lattice slots: directly
@@ -609,9 +657,18 @@ def iid_sum_normalized(mu: Discrete, n: int, max_atoms: int = _MAX_ATOMS) -> Dis
     that cap; wide bases with weights spanning many orders of magnitude can
     exceed it earlier.
 
-    Any other base enumerates atom pairs, merging sums within 1e-12; more
-    than 4e7 pairs in one convolution, or more than max_atoms atoms, raises
-    SizeLimitError.
+    A base on no lattice, whose K(K+1)/2 pairwise sums are 1e-12 apart and
+    whose C(n+K-1, K-1) count vectors (ways to split n draws among its K
+    atoms) number at most max_atoms, gets one atom per count vector c: the
+    point sum_k c_k x_k with the multinomial weight n!/prod c_k! *
+    prod p_k^c_k, from lgamma log-weights.  Sums that still coincide are
+    merged within 1e-12, weights that underflow to 0.0 dropped and the
+    result rescaled to total mass one.  Three incommensurable atoms reach
+    n = 1412 this way.  The count is checked before anything is allocated.
+
+    Any other base (coincident pair sums, or past the count-vector cap)
+    enumerates atom pairs, merging sums within 1e-12; more than 4e7 pairs in
+    one convolution, or more than max_atoms atoms, raises SizeLimitError.
     """
     if not isinstance(mu, Discrete):
         raise TypeError("iid_sum_normalized requires a Discrete distribution")
@@ -627,7 +684,12 @@ def iid_sum_normalized(mu: Discrete, n: int, max_atoms: int = _MAX_ATOMS) -> Dis
     root = math.sqrt(n * s2)
     span = _lattice_span(mu.points)
     if span is None:
-        total = _binary_power(mu, n, lambda a, b: _convolve_discrete(a, b, max_atoms))
+        # for n > 1 the K(K+1)/2 pair sums number at most the count vectors
+        if (n > 1 and _count_vectors_within(n, mu.points.size, max_atoms)
+                and _pair_sums_distinct(mu.points)):
+            total = _multinomial_power(mu, n)
+        else:
+            total = _binary_power(mu, n, lambda a, b: _convolve_discrete(a, b, max_atoms))
         return shift_scale(total, 0.0, root)
     slots, wts = _lattice_power(mu, n, span, max_atoms)
     pts = (n * float(mu.points[0]) + span * slots) / root

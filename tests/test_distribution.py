@@ -34,8 +34,11 @@ from cltlab.distributions import (
 from cltlab.distributions import (
     _binary_power,
     _convolve_discrete,
+    _count_vectors_within,
     _lattice_power,
     _lattice_span,
+    _multinomial_power,
+    _pair_sums_distinct,
 )
 from cltlab.charfuns import charfun
 from cltlab.clt import CltExperiment, center, run_clt
@@ -456,11 +459,73 @@ class TestIidSumNormalized:
             iid_sum_normalized(rademacher(), 10**7)
         assert time.perf_counter() - start < 0.5
 
-    def test_nonlattice_keeps_pair_cap(self):
+    def test_nonlattice_reaches_count_vector_cap(self):
+        base = center(Discrete(np.array([0.0, 1.0, 1.0 + math.sqrt(2.0)]),
+                               np.array([0.5, 0.3, 0.2])))
+        for n in (256, 1412):  # C(1414, 2) = 998,991 count vectors
+            mu = iid_sum_normalized(base, n)
+            root = math.sqrt(n * variance(base))
+            for t in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0):
+                phi = np.sum(base.weights * np.exp(1j * base.points * (t / root))) ** n
+                assert abs(charfun(mu, t) - phi) <= 1e-9
+            assert abs(mean(mu)) <= 1e-12
+            assert abs(variance(mu) - 1.0) <= 1e-12
+            Discrete(mu.points, mu.weights)  # the public checks hold
+        with pytest.raises(SizeLimitError):
+            iid_sum_normalized(base, 1413)  # C(1415, 2) = 1,000,405
+
+    def test_count_vector_cap_matches_comb(self):
+        for n in (1, 2, 5, 40, 1412, 1413, 10**9):
+            for k in (2, 3, 7, 50):
+                count = math.comb(n + k - 1, k - 1)
+                assert _count_vectors_within(n, k, count)
+                assert not _count_vectors_within(n, k, count - 1)
+                assert _count_vectors_within(n, k, 10**6) == (count <= 10**6)
+
+    @settings(deadline=None)
+    @given(discrete_dists(max_atoms=5), st.integers(1, 40), st.data())
+    def test_count_vectors_match_pair_path(self, base, n, data):
+        assume(base.points.size >= 2)
+        # one or two atoms moved by distinct irrationals
+        moved = data.draw(st.lists(st.integers(0, base.points.size - 1), min_size=1,
+                                   max_size=2, unique=True))
+        shifts = data.draw(st.permutations([math.sqrt(2.0), math.sqrt(3.0), math.pi]))
+        pts = base.points.copy()
+        pts[moved] += shifts[:len(moved)]
+        order = np.argsort(pts)
+        base = Discrete(pts[order], base.weights[order])
+        assume(_pair_sums_distinct(base.points))
+        counted = _multinomial_power(base, n)
+        pair = _binary_power(base, n, _convolve_discrete)
+        assert counted.points.size == pair.points.size
+        scale = float(np.abs(pair.points).max())
+        assert np.abs(counted.points - pair.points).max() <= 1e-12 * scale
+        assert np.abs(np.cumsum(counted.weights) - np.cumsum(pair.weights)).max() <= 1e-12
+
+    def test_routing_by_pair_sums(self):
+        # 1 + 3 = 2 + 2: coincident pair sums keep the pair path, bit for bit
+        base = center(Discrete(np.array([1.0, 2.0, 3.0, math.pi, 4.0, 5.0, 6.0]),
+                               np.full(7, 1.0 / 7.0)))
+        n = 26
+        mu = iid_sum_normalized(base, n)
+        pair = shift_scale(_binary_power(base, n, _convolve_discrete), 0.0,
+                           math.sqrt(n * variance(base)))
+        assert np.array_equal(mu.points, pair.points)
+        assert np.array_equal(mu.weights, pair.weights)
+        # distinct pair sums, but 1 + 1 + 1 = 0 + 0 + 3: count vectors merge
+        base = center(Discrete(np.array([0.0, 1.0, 3.0, 3.0 + math.sqrt(2.0)]),
+                               np.array([0.4, 0.3, 0.2, 0.1])))
+        assert _pair_sums_distinct(base.points)
+        for n in (3, 8, 20):
+            mu = iid_sum_normalized(base, n)
+            pair = _binary_power(base, n, _convolve_discrete)
+            assert mu.points.size == pair.points.size < math.comb(n + 3, 3)
+            assert np.abs(np.cumsum(mu.weights) - np.cumsum(pair.weights)).max() <= 1e-12
+        # past the count-vector cap the pair path raises, as before
         base = center(Discrete(np.array([0.0, 1.0, 1.0 + math.sqrt(2.0)]),
                                np.array([0.5, 0.3, 0.2])))
         with pytest.raises(SizeLimitError):
-            iid_sum_normalized(base, 256)
+            iid_sum_normalized(base, 8, max_atoms=10)
 
     def test_lattice_span(self):
         assert _lattice_span(np.array([0.0, 2.0, 5.0])) == 1.0
