@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cltlab.clt import center
 from cltlab.distributions import (
     Density,
     Discrete,
@@ -10,6 +12,7 @@ from cltlab.distributions import (
     cdf,
     fair_die,
     iid_sum_normalized,
+    normal,
     point_mass,
     rademacher,
     standard_normal,
@@ -26,9 +29,11 @@ from cltlab.weak_convergence import (
     integral_against,
     levy_metric,
     portmanteau_testfn,
+    _LEVY_SLACK,
+    _cdf_evaluator,
 )
 from cltlab.weak_convergence import TestFn as BoundedFn
-from oracles import brute_levy, corridor_xs, normal_cdf, step_cdf
+from oracles import brute_levy, corridor_xs, discrete_dists, normal_cdf, step_cdf
 
 
 class TestProbe:
@@ -92,6 +97,26 @@ class TestCdfDistance:
         probe = default_probe(rademacher())
         e = Empirical(np.array([-1.0, -1.0, 1.0, 1.0]))
         assert cdf_distance(e, probe) == 0.0
+
+    @pytest.mark.parametrize("mu", [
+        iid_sum_normalized(rademacher(), 16),
+        iid_sum_normalized(rademacher(), 1),
+        iid_sum_normalized(center(fair_die()), 8),
+        Empirical(np.random.default_rng(5).integers(-4, 5, size=300) / 3.0),
+    ])
+    def test_discrete_matches_scalar_cdf_loop(self, mu):
+        pts = mu.points
+        grid = np.concatenate([
+            pts,  # exactly on every atom
+            np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf),
+            0.5 * (pts[1:] + pts[:-1]),
+            [pts[0] - 1.0, pts[0] - 1e-9, pts[-1] + 1e-9, pts[-1] + 3.0],
+        ])
+        probe = ConvergenceProbe(standard_normal(), tuple(grid))
+        want = 0.0
+        for g in probe.grid:
+            want = max(want, abs(cdf(mu, g) - cdf(standard_normal(), g)))
+        assert cdf_distance(mu, probe) == want
 
 
 def counting_normal():
@@ -234,6 +259,22 @@ class TestLevyMetric:
         brute = brute_levy(F, normal_cdf, xs, n_eps=2001)
         assert abs(v - brute) < 2e-3
 
+    @pytest.mark.parametrize("mu", [
+        iid_sum_normalized(rademacher(), 16),
+        iid_sum_normalized(center(fair_die()), 8),
+    ])
+    def test_discrete_against_normal_brute(self, mu):
+        v = levy_metric(mu, standard_normal(), tol=1e-5)
+        # the atoms themselves are scan points, so the brute scan sees the
+        # left limits where the corridor binds
+        xs = np.union1d(np.linspace(-6.0, 6.0, 2001), mu.points)
+        brute = brute_levy(step_cdf(mu), normal_cdf, xs, n_eps=2001)
+        assert abs(v - brute) < 2e-3
+
+    def test_readme_coin_value_pinned(self):
+        s = iid_sum_normalized(rademacher(), 64)
+        assert levy_metric(s, standard_normal()) == 0.0355224609375
+
     def test_symmetry(self):
         tol = 1e-5
         for mu, nu in [(rademacher(), fair_die()),
@@ -260,10 +301,98 @@ class TestLevyMetric:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             levy_metric(rademacher(), fair_die(), tol=0.0)
+        for bad in (float("inf"), float("nan"), 0, -1):
+            with pytest.raises(ValueError, match="positive finite number"):
+                levy_metric(iid_sum_normalized(rademacher(), 16), standard_normal(), tol=bad)
 
     def test_empirical_pair(self):
         e = Empirical(np.array([-1.0, -1.0, 1.0, 1.0]))
         assert levy_metric(e, rademacher()) == 0.0
+
+
+def _four_term_levy(mu, nu, tol):
+    """levy_metric as first written: all four corridor terms over both
+    sides' breakpoints at every bisection step, nothing pruned."""
+    F = _cdf_evaluator(mu)
+    G = _cdf_evaluator(nu)
+    bf = F.breakpoints
+    bg = G.breakpoints
+    g_at_bg, g_left_bg = G.value(bg), G.left(bg)
+    f_at_bf, f_left_bf = F.value(bf), F.left(bf)
+
+    def ok(eps):
+        s = np.max(g_at_bg - F.value(bg + eps))
+        s = max(s, float(np.max(G.left(bf - eps) - f_left_bf)))
+        s = max(s, float(np.max(f_at_bf - G.value(bf + eps))))
+        s = max(s, float(np.max(F.left(bg - eps) - g_left_bg)))
+        return s <= eps + _LEVY_SLACK
+
+    if ok(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _laplace():
+    return Density(lambda x: 0.5 * math.exp(-abs(x)), (-math.inf, math.inf))
+
+
+CONTINUOUS_LIMITS = [standard_normal(), normal(0.5, 4.0), _laplace(),
+                     Density(lambda x: 0.5, (-1.0, 1.0))]
+TOLS = st.sampled_from([1e-3, 1e-4, 1e-6])
+
+
+@st.composite
+def step_laws(draw):
+    """A Discrete on a scaled integer lattice, or an Empirical of draws from
+    one, so atoms land inside, near and beyond the limits' tables."""
+    mu = draw(discrete_dists())
+    scale = draw(st.sampled_from([0.03, 0.2, 1.0]))
+    if draw(st.booleans()):
+        idx = draw(st.lists(st.integers(0, mu.points.size - 1), min_size=1, max_size=40))
+        return Empirical(mu.points[idx] * scale)
+    return Discrete(mu.points * scale, mu.weights)
+
+
+class TestLevyAgainstFourTerms:
+    """Bit-for-bit agreement with the unpruned four-term corridor."""
+
+    @given(step_laws(), st.integers(0, len(CONTINUOUS_LIMITS) - 1), TOLS)
+    @settings(max_examples=120, deadline=None)
+    def test_step_against_continuous(self, mu, k, tol):
+        d = CONTINUOUS_LIMITS[k]
+        assert levy_metric(mu, d, tol) == _four_term_levy(mu, d, tol)
+        assert levy_metric(d, mu, tol) == _four_term_levy(d, mu, tol)
+
+    @given(step_laws(), step_laws(), TOLS)
+    @settings(max_examples=80, deadline=None)
+    def test_step_pairs(self, mu, nu, tol):
+        assert levy_metric(mu, nu, tol) == _four_term_levy(mu, nu, tol)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-6])
+    def test_continuous_pairs(self, tol):
+        for a, b in [(CONTINUOUS_LIMITS[0], CONTINUOUS_LIMITS[2]),
+                     (CONTINUOUS_LIMITS[3], CONTINUOUS_LIMITS[1])]:
+            assert levy_metric(a, b, tol) == _four_term_levy(a, b, tol)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-6])
+    def test_binding_atom_beyond_the_table(self, tol):
+        # 0.2 of mass at +12, past the normal table's right end: the corridor
+        # binds at that atom, where the table reads 1.0
+        core = iid_sum_normalized(rademacher(), 16)
+        mu = Discrete(np.append(core.points, 12.0), np.append(0.8 * core.weights, 0.2))
+        N = standard_normal()
+        assert N._cdf_table[0][-1] < 12.0
+        v = levy_metric(mu, N, tol)
+        assert v == _four_term_levy(mu, N, tol)
+        assert levy_metric(N, mu, tol) == _four_term_levy(N, mu, tol)
+        assert abs(v - 0.2) <= tol + 1e-9
 
 
 class TestUniformDensityLimit:
