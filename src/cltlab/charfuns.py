@@ -6,10 +6,11 @@ the panels of the Density's cached partition: the pdf values at their nodes
 are evaluated once and kept, each t reweights them by e^{itx}, and only the
 panels whose Kronrod-Gauss gap is too large for that t are bisected.
 Inversion recovers mu((a, b]) for non-atom endpoints a < b by integrating
-the real part of the truncated Levy kernel.
+the real part of the truncated Levy kernel: each round of panels is one
+array pass, the kernel and the damping evaluated on all its nodes at once
+and phi called once per node.
 """
 
-import cmath
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -19,7 +20,7 @@ from .distributions import (
     _PARTITION_TAIL, Density, Discrete, Dist, _require_dist, mean, variance,
 )
 from .errors import NonConvergenceError
-from .numerics import DEFAULT_TOL, _batched_rounds, _check_tol, integrate
+from .numerics import DEFAULT_TOL, _batched_rounds, _check_tol, _gk15_nodes, integrate
 from .weak_convergence import integral_against
 
 _T_START = 64.0
@@ -126,31 +127,40 @@ def second_order_bound(mu: Dist, t: float, tol: float = DEFAULT_TOL) -> float:
     return integral_against(g, mu, tol)
 
 
-def _kernel(t: float, a: float, b: float) -> complex:
-    """(e^{-ita} - e^{-itb}) / (it), patched at t=0 with its limit b - a."""
-    if abs(t) < 1e-12:
-        return complex(b - a, 0.0)
-    return (cmath.exp(-1j * t * a) - cmath.exp(-1j * t * b)) / (1j * t)
-
-
 def _invert_at(
     phi: Callable[[float], complex], a: float, b: float, lo: float, hi: float, tol: float,
     damping: float,
 ) -> float:
     """(1/2pi) times the integral over (lo, hi) of the real part of the
     inversion integrand, whose imaginary part is odd in t and so integrates
-    to zero over the symmetric ranges levy_invert assembles."""
-    if damping > 0.0:
+    to zero over the symmetric ranges levy_invert assembles.
 
-        def integrand(t: float) -> float:
-            return (_kernel(t, a, b) * phi(t) * math.exp(-damping * t * t)).real
+    Each round of panels is one array pass: phi is called once per node, as
+    a scalar, and the kernel (e^{-ita} - e^{-itb}) / (it), patched at t = 0
+    with its limit b - a, and the damping are evaluated on all the nodes.
+    """
+    _check_tol(tol)
 
-    else:
+    def values(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+        t = _gk15_nodes(pa, pb)
+        ts = t.ravel().tolist()
+        f = np.fromiter([phi(x) for x in ts], complex, len(ts)).reshape(t.shape)
+        zero = np.abs(t) < 1e-12
+        # e^{-itx} = cos(tx) - i sin(tx), so the kernel is
+        # (sin(tb) - sin(ta) + i (cos(tb) - cos(ta))) / t
+        ta, tb = t * a, t * b
+        div = np.where(zero, 1.0, t)
+        k_re = np.where(zero, b - a, (np.sin(tb) - np.sin(ta)) / div)
+        k_im = np.where(zero, 0.0, (np.cos(tb) - np.cos(ta)) / div)
+        y = k_re * f.real - k_im * f.imag
+        if damping > 0.0:
+            y *= np.exp(-damping * t * t)
+        if not np.isfinite(y).all():
+            bad = ts[int(np.flatnonzero(~np.isfinite(y))[0])]
+            raise ValueError(f"integrand returned a non-finite value near t={bad:.6g}")
+        return y
 
-        def integrand(t: float) -> float:
-            return (_kernel(t, a, b) * phi(t)).real
-
-    return integrate(integrand, lo, hi, tol) / (2.0 * math.pi)
+    return _batched_rounds(values, None, (lo, hi), tol)[0] / (2.0 * math.pi)
 
 
 def levy_invert(
@@ -164,14 +174,17 @@ def levy_invert(
     """Estimate mu((a, b]) from the characteristic function phi.
 
     Computes (1/2pi) * integral_{-T}^{T} (e^{-ita} - e^{-itb})/(it) phi(t) dt,
-    integrating its real part only.  The endpoints must satisfy a < b and
-    should not be atoms of mu.  When T is omitted the radius doubles from
-    64, capped at 1e5: the core (-64, 64) takes tol/2 and each doubling adds
-    the shells [-2T, -T] and [T, 2T] at half the previous tolerance, so the
-    error estimates sum to at most tol, until a pair of shells adds less
-    than tol.  Lattice characteristic functions oscillate under raw
+    integrating its real part only.  phi is called with one float t at a
+    time, once per quadrature node, and may return a complex or a float;
+    the kernel and the damping are evaluated as arrays, one round of panels
+    at a time.  The endpoints must satisfy a < b and should not be atoms of
+    mu.  When T is omitted the radius doubles from 64, capped at 1e5: the
+    core (-64, 64) takes tol/2 and each doubling adds the shells [-2T, -T]
+    and [T, 2T] at half the previous tolerance, so the error estimates sum
+    to at most tol, until a pair of shells adds less than tol.  Lattice characteristic functions oscillate under raw
     truncation, so either pass T explicitly or use a small Gaussian
-    ``damping`` (1e-6 works well).
+    ``damping`` (1e-6 works well).  ValueError on a bad tolerance or when
+    the integrand is not finite at a node, naming that t.
     """
     a = float(a)
     b = float(b)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cltlab import charfuns
 from cltlab.charfuns import (
     char_fn,
     charfun,
@@ -29,6 +30,7 @@ from cltlab.distributions import (
     standard_normal,
 )
 from cltlab.errors import NonConvergenceError
+from cltlab.numerics import integrate
 from oracles import damped_mass, discrete_dists, normal_mass
 from test_distribution import wall_clock_limit
 
@@ -288,6 +290,76 @@ class TestLevyInvert:
             levy_invert(normal_charfun, 0.0, 1.0, T=-5.0)
         with pytest.raises(ValueError):
             levy_invert(normal_charfun, 0.0, 1.0, damping=-1e-6)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+    @pytest.mark.parametrize("T", [20.0, None])
+    def test_bad_tol_rejected(self, tol, T):
+        with pytest.raises(ValueError):
+            levy_invert(normal_charfun, -1.0, 1.0, T=T, tol=tol)
+
+    def test_nonfinite_phi_names_the_node(self):
+        phi = lambda t: complex("nan") if abs(t) > 10 else 1.0
+        with pytest.raises(ValueError, match=r"non-finite value near t=-19\.8291"):
+            levy_invert(phi, -1.0, 1.0, T=20.0)
+
+    @pytest.mark.parametrize("a, b", [(-1.96, 1.96), (-0.5, 1.25), (0.0, 3.0)])
+    def test_normal_mass_to_rounding(self, a, b):
+        # the truncation error at T = 40 is below e^{-800}: what is left is the
+        # quadrature, whose first round reads the kernel at its t = 0 node
+        ref = 0.5 * (math.erfc(-b / math.sqrt(2.0)) - math.erfc(-a / math.sqrt(2.0)))
+        assert abs(levy_invert(normal_charfun, a, b, T=40.0, tol=1e-12) - ref) <= 1e-12
+
+
+def _reference_kernel(t, a, b):
+    """The scalar inversion kernel, patched at t = 0 with its limit b - a."""
+    if abs(t) < 1e-12:
+        return complex(b - a, 0.0)
+    return (cmath.exp(-1j * t * a) - cmath.exp(-1j * t * b)) / (1j * t)
+
+
+def _reference_invert_at(phi, a, b, lo, hi, tol, damping):
+    """The inversion integral node by node, through the scalar integrate."""
+    if damping > 0.0:
+        def integrand(t):
+            return (_reference_kernel(t, a, b) * phi(t) * math.exp(-damping * t * t)).real
+    else:
+        def integrand(t):
+            return (_reference_kernel(t, a, b) * phi(t)).real
+    return integrate(integrand, lo, hi, tol) / (2.0 * math.pi)
+
+
+class TestInvertAgainstScalarPath:
+    # phi is built when its case runs, not when the module is collected
+    CASES = {
+        "normal_auto_T": (lambda: normal_charfun, -1.96, 1.96, {}),
+        # one panel that converges at once: its t = 0 node counts in the value
+        "normal_T1": (lambda: normal_charfun, -0.5, 1.25, {"T": 1.0}),
+        "cos_T1000": (lambda: math.cos, 0.0, 2.0, {"T": 1000.0}),
+        "cos_damped_auto_T": (lambda: math.cos, 0.0, 2.0, {"tol": 1e-6, "damping": 1e-6}),
+        "laplace_closed_form": (lambda: lambda t: 1.0 / (1.0 + t * t), -0.8, 0.6, {}),
+        "die_T1000": (lambda: char_fn(fair_die()), 2.5, 4.5, {"T": 1000.0}),
+        "density_auto_T": (lambda: char_fn(normal(0.3, 1.2)), -1.0, 1.5, {}),
+    }
+
+    @staticmethod
+    def _run(phi, a, b, kw):
+        seen = []
+
+        def recorded(t):
+            seen.append(t)
+            return phi(t)
+
+        return levy_invert(recorded, a, b, **kw), seen
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_nodes_same_value(self, case, monkeypatch):
+        make_phi, a, b, kw = self.CASES[case]
+        phi = make_phi()
+        got, got_ts = self._run(phi, a, b, kw)
+        monkeypatch.setattr(charfuns, "_invert_at", _reference_invert_at)
+        want, want_ts = self._run(phi, a, b, kw)
+        assert got_ts == want_ts
+        assert abs(got - want) <= 1e-13
 
 
 class TestCharfunDistance:
