@@ -186,6 +186,7 @@ def levy_invert(
     ``damping`` (1e-6 works well).  ValueError on a bad tolerance or when
     the integrand is not finite at a node, naming that t.
     """
+    _check_tol(tol)
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:

@@ -151,8 +151,7 @@ def _mc_normalized_sum(base: Discrete, n: int, draws: int, seed: int) -> Empiric
     out = np.empty(draws)
     for done in range(0, draws, rows):
         k = min(rows, draws - done)
-        idx = base._atom_index(rng.random((k, n)))
-        out[done:done + k] = base.points[idx].sum(axis=1) / scale
+        out[done:done + k] = base._draw(rng.random((k, n))).sum(axis=1) / scale
     return Empirical(out)
 
 

@@ -56,6 +56,12 @@ _EPS = float(np.finfo(float).eps)
 # clamped to 2^8..2^16 buckets
 _GUIDE_MIN_BITS = 8
 _GUIDE_MAX_BITS = 16
+# the atom-value table has the power of two >= 256 buckets per atom, clamped
+# to 2^12..2^14 buckets (128 KB at most); bases of more atoms get none, as
+# buckets holding a cut grow common and the guide table alone is faster
+_VALUE_MIN_BITS = 12
+_VALUE_MAX_BITS = 14
+_VALUE_MAX_ATOMS = 256
 
 DISCRETE_HEADER = "# discrete-dist v1"
 
@@ -140,6 +146,38 @@ class Discrete:
                 cuts = self._cumweights
                 idx[hit] = np.minimum(np.searchsorted(cuts, u[hit], side="left"), cuts.size - 1)
         return idx
+
+    @cached_property
+    def _atom_values(self) -> Union[np.ndarray, None]:
+        """The inverse CDF read off m equal buckets of [0, 1), m a power of
+        two: entry j is the atom every u in [j/m, (j+1)/m) maps to, or NaN
+        when a cut (as in _atom_table) lies in that bucket, so that only u
+        itself fixes the atom.  None for bases of more than 256 atoms."""
+        if self.points.size > _VALUE_MAX_ATOMS:
+            return None
+        cuts = self._cumweights.copy()
+        cuts[-1] = np.inf
+        bits = (_VALUE_MAX_ATOMS * cuts.size - 1).bit_length()
+        m = 1 << min(max(bits, _VALUE_MIN_BITS), _VALUE_MAX_BITS)
+        start = np.searchsorted(cuts, np.arange(m + 1) / m, side="left")
+        values = self.points[start[:-1]]
+        values[np.diff(start) != 0] = np.nan
+        values.flags.writeable = False
+        return values
+
+    def _draw(self, u: np.ndarray) -> np.ndarray:
+        """The atoms the inverse CDF sends uniforms u in [0, 1) to, in u's
+        shape: points[_atom_index(u)] exactly, read from the atom-value table
+        and from _atom_index only for u in buckets that hold a cut (for every
+        u when the base has no table)."""
+        values = self._atom_values
+        if values is None:
+            return self.points[self._atom_index(u)]
+        x = values.take((u * values.size).astype(np.intp), mode="clip")  # exact: m is 2^k
+        bad = np.isnan(x)
+        if bad.any():
+            x[bad] = self.points[self._atom_index(u[bad])]
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -706,7 +744,7 @@ def sample(mu: Dist, n: int, seed: int) -> Empirical:
     rng = np.random.default_rng(int(seed))
     u = rng.random(int(n))
     if isinstance(mu, Discrete):
-        return Empirical(mu.points[mu._atom_index(u)])
+        return Empirical(mu._draw(u))
     xs, cum = mu._cdf_table
     keep = np.concatenate([[True], np.diff(cum) > 0.0])
     return Empirical(np.interp(u, cum[keep], xs[keep]))

@@ -206,8 +206,8 @@ def are_independent(
             continue
         level_sets = []
         for i in sub:
-            uniq = np.unique(vals[i])
-            level_sets.append([(vals[i] == v) for v in uniq])
+            uniq, inv = np.unique(vals[i], return_inverse=True)
+            level_sets.append([inv == k for k in range(uniq.size)])
         stack = [(np.ones(space.n, dtype=bool), 1.0)]
         for masks in level_sets:
             stack = [
@@ -227,8 +227,8 @@ def pushforward(space: FiniteProbSpace, rv: FiniteRV) -> Discrete:
     Outcomes with zero weight contribute no atom.
     """
     vals = _rv_values(space, rv)
-    uniq = np.unique(vals)
-    wts = np.array([float(space.weights[vals == v].sum()) for v in uniq])
+    uniq, inv = np.unique(vals, return_inverse=True)
+    wts = np.array([float(space.weights[inv == k].sum()) for k in range(uniq.size)])
     keep = wts > 0.0
     return Discrete(uniq[keep], wts[keep])
 

@@ -297,6 +297,12 @@ class TestLevyInvert:
         with pytest.raises(ValueError):
             levy_invert(normal_charfun, -1.0, 1.0, T=T, tol=tol)
 
+    @pytest.mark.parametrize("T", [20.0, None])
+    def test_bad_tol_names_the_callers_value(self, T):
+        # the automatic-T schedule splits tol; the message names the tol given
+        with pytest.raises(ValueError, match=r"got -1e-08$"):
+            levy_invert(normal_charfun, -1.0, 1.0, T=T, tol=-1e-8)
+
     def test_nonfinite_phi_names_the_node(self):
         phi = lambda t: complex("nan") if abs(t) > 10 else 1.0
         with pytest.raises(ValueError, match=r"non-finite value near t=-19\.8291"):

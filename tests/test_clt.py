@@ -183,9 +183,9 @@ def _tiny_weights():
     return center(Discrete(np.arange(8.0), w))
 
 
-def _wide():
-    w = np.random.default_rng(4).random(1000)
-    return center(Discrete(np.arange(1000.0), w / w.sum()))
+def _wide(k=1000, seed=4):
+    w = np.random.default_rng(seed).random(k)
+    return center(Discrete(np.arange(float(k)), w / w.sum()))
 
 
 SAMPLER_BASES = {
@@ -195,6 +195,10 @@ SAMPLER_BASES = {
                                                np.array([0.4, 0.3, 0.2, 0.1]))),
     "tiny_weights": _tiny_weights,
     "wide": _wide,
+    # one atom past the atom-value table's limit, and far past it: _draw
+    # reads the guide table alone
+    "wide_257": lambda: _wide(257, 8),
+    "wide_5000": lambda: _wide(5000, 12),
     # weights summing to 1 - 4e-13 (within the 1e-12 check): uniforms above
     # the last cumulative weight go to the last atom
     "short": lambda: Discrete(np.arange(3.0), np.array([0.25, 0.25, 0.5 - 4e-13])),
@@ -213,6 +217,8 @@ class TestMonteCarloSampler:
         ("inexact_lattice", 17, 20_000, 2),
         ("tiny_weights", 9, 30_000, 3),
         ("wide", 5, 25_000, 11),
+        ("wide_257", 4, 20_000, 19),
+        ("wide_5000", 3, 20_000, 23),
         ("die", 1, 30_000, 13),
         ("die", 70_000, 2, 17),  # one row holds more uniforms than a chunk
     ])
@@ -223,9 +229,26 @@ class TestMonteCarloSampler:
         for field in ("samples", "points", "weights"):
             assert _same_bits(getattr(got, field), getattr(want, field)), field
 
-    def test_tiny_weights_take_the_crowded_path(self):
-        assert _tiny_weights()._atom_table[3] is not None
+    def test_tiny_weights_take_the_crowded_path(self, monkeypatch):
+        mu = _tiny_weights()
+        # the six tiny cuts share the first bucket of both tables
+        assert np.isnan(mu._atom_values[0])
+        assert mu._atom_table[3] is not None and mu._atom_table[3][0]
         assert SAMPLER_BASES["die"]()._atom_table[3] is None
+        u = np.linspace(0.0, 8e-9, 1001)
+        want = mu.points[_searchsorted_index(mu, u)]
+        searches = []
+        search = np.searchsorted
+
+        def counting(*args, **kwargs):
+            searches.append(args[1])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        got = mu._draw(u)
+        assert _same_bits(got, want)
+        # the fix-up sends every uniform of the crowded bucket to the search
+        assert len(searches) == 1 and searches[0].size == u.size
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_BASES))
     def test_atom_index_equals_binary_search(self, name):
@@ -238,6 +261,32 @@ class TestMonteCarloSampler:
         u = np.concatenate([edges[(edges >= 0.0) & (edges < 1.0)],
                             np.random.default_rng(1).random(100_000)])
         assert np.array_equal(mu._atom_index(u), _searchsorted_index(mu, u))
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_BASES))
+    def test_draw_equals_binary_search(self, name):
+        mu = SAMPLER_BASES[name]()
+        values = mu._atom_values
+        assert (values is None) == (mu.points.size > 256)
+        m = mu._atom_table[0] if values is None else values.size
+        cuts = mu._cumweights
+        # every bucket edge, every cut and its two neighbours, and the ends
+        edges = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 2.0),
+                                np.arange(m) / m, [0.0, 1.0 - 2.0**-53]])
+        u = np.concatenate([edges[(edges >= 0.0) & (edges < 1.0)],
+                            np.random.default_rng(2).random(100_000)])
+        got = mu._draw(u)
+        assert not np.isnan(got).any()
+        assert _same_bits(got, mu.points[_searchsorted_index(mu, u)])
+        rows = u[:100_000].reshape(1000, 100)
+        assert _same_bits(mu._draw(rows), mu.points[_searchsorted_index(mu, rows)])
+
+    def test_coin_cut_on_a_bucket_edge(self):
+        mu = rademacher()
+        m = mu._atom_values.size
+        # the cut 1/2 opens bucket m/2, the only one that needs the search
+        assert np.flatnonzero(np.isnan(mu._atom_values)).tolist() == [m // 2]
+        u = np.array([0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 0.5 + 1.0 / m])
+        assert mu._draw(u).tolist() == [-1.0, -1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_BASES))
     def test_sample_equals_binary_search(self, name):

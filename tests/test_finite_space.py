@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -260,3 +262,26 @@ class TestPushforwardAndMoments:
     def test_rv_length_mismatch(self):
         with pytest.raises(ValueError):
             expectation(fair_die_space(), [1.0, 2.0])
+
+
+# Bare np.unique imports numpy.ma on first use (numpy 2.4); grouping by its
+# inverse does not, so the space demo leaves the import out of a cold CLI run.
+_SPACE_DEMO_IMPORTS = """
+import contextlib, io, sys
+import cltlab.cli
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    sys.exit(0)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cltlab.cli.main(["space", "--demo", "die"])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_space_demo_leaves_numpy_ma_unimported():
+    proc = subprocess.run([sys.executable, "-c", _SPACE_DEMO_IMPORTS],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "preloaded":
+        pytest.skip("importing cltlab.cli already loads numpy.ma")
+    assert proc.stdout.split() == ["0", "False"]
