@@ -181,10 +181,11 @@ def levy_invert(
     mu.  When T is omitted the radius doubles from 64, capped at 1e5: the
     core (-64, 64) takes tol/2 and each doubling adds the shells [-2T, -T]
     and [T, 2T] at half the previous tolerance, so the error estimates sum
-    to at most tol, until a pair of shells adds less than tol.  Lattice characteristic functions oscillate under raw
-    truncation, so either pass T explicitly or use a small Gaussian
-    ``damping`` (1e-6 works well).  ValueError on a bad tolerance or when
-    the integrand is not finite at a node, naming that t.
+    to at most tol, until a pair of shells adds less than tol.  Lattice
+    characteristic functions oscillate under raw truncation, so either pass
+    T explicitly or use a small Gaussian ``damping`` (1e-6 works well).
+    ValueError on a bad tolerance or when the integrand is not finite at a
+    node, naming that t.
     """
     _check_tol(tol)
     a = float(a)

@@ -136,3 +136,17 @@ def coin_sum_cdf(n: int):
         return at(math.ceil(m - 1e-9) - 1), at(math.floor(m + 1e-9))
 
     return F
+
+
+def symmetric_sum_charfun(points, weights, n: int, t: float) -> float:
+    """phi_n(t) of the normalized n-fold sum of a base symmetric about 0.
+
+    With s = t / sqrt(n sigma^2) the base has phi(s) = sum_k w_k cos(x_k s)
+    = 1 - sum_k 2 w_k sin^2(x_k s / 2), so phi_n(t) = exp(n log1p(-sum_k
+    2 w_k sin^2(x_k s / 2))): the coin's n log1p(-2 sin^2(s/2)), the centred
+    die's n log1p(-sum_k 2 sin^2(x_k s/2) / 6).  The log1p form keeps the
+    relative accuracy that 1 - ... would lose at large n."""
+    s2 = math.fsum(w * x * x for x, w in zip(points, weights))
+    s = t / math.sqrt(n * s2)
+    drop = math.fsum(2.0 * w * math.sin(0.5 * x * s) ** 2 for x, w in zip(points, weights))
+    return math.exp(n * math.log1p(-drop))

@@ -31,7 +31,12 @@ from cltlab.distributions import (
     standard_normal,
     variance,
 )
+import cltlab.distributions as distributions
 from cltlab.distributions import (
+    _DIRECT_CONV_TERMS,
+    _EPS,
+    _FFT_FLOOR,
+    _MAX_ATOMS,
     _binary_power,
     _convolve_discrete,
     _count_vectors_within,
@@ -50,7 +55,7 @@ from cltlab.weak_convergence import (
     integral_against,
     levy_metric,
 )
-from oracles import coin_sum_cdf, discrete_dists, normal_cdf
+from oracles import coin_sum_cdf, discrete_dists, normal_cdf, symmetric_sum_charfun
 
 
 class TestConstruction:
@@ -412,6 +417,57 @@ class TestShiftScale:
         assert abs(cdf(mu, 0.5) - 0.5) < 1e-7
 
 
+def uncut_convolve_slots(a, b):
+    """Reference lattice product without the direct-product cut: direct
+    products keep every slot, only the FFT branch cuts its sub-floor ends."""
+    (sa, wa, da, fa), (sb, wb, db, fb) = a, b
+    if wa.size * wb.size <= _DIRECT_CONV_TERMS:
+        return sa + sb, np.convolve(wa, wb), da + db, max(fa, fb)
+    size = wa.size + wb.size - 1
+    m = 1 << (size - 1).bit_length()
+    out = np.fft.irfft(np.fft.rfft(wa, m) * np.fft.rfft(wb, m), m)[:size]
+    floor = _FFT_FLOOR * _EPS * math.sqrt(float(np.dot(wa, wa) * np.dot(wb, wb)))
+    above = np.flatnonzero(out >= floor)
+    lo, hi = int(above[0]), int(above[-1]) + 1
+    dropped = float(out[:lo].sum() + out[hi:].sum())
+    return sa + sb + lo, out[lo:hi], da + db + dropped, max(fa, fb, floor)
+
+
+def seeded_lattice(width, seed):
+    """The integers 0..width with weights drawn from uniform(1, 3), centred."""
+    w = np.random.default_rng(seed).uniform(1.0, 3.0, size=width + 1)
+    return center(Discrete(np.arange(width + 1.0), w / w.sum()))
+
+
+def benchmark_like_lattice(inner, seed):
+    """Four atoms {0, i, j, 5}, light ends and heavy middle."""
+    rng = np.random.default_rng(seed)
+    w = np.concatenate([rng.uniform(1.0, 1.2, size=1), rng.uniform(1.6, 2.0, size=2),
+                        rng.uniform(1.0, 1.2, size=1)])
+    return Discrete(np.array([0.0, *inner, 5.0]), w / w.sum())
+
+
+def assert_power_matches_uncut(base, n):
+    """_lattice_power of base against the uncut reference powering: the
+    CDFs agree within 1e-14 at every slot either keeps, and the pre-rescale
+    masses within 1e-13."""
+    span = _lattice_span(base.points)
+    slots, wts = _lattice_power(base, n, span, _MAX_ATOMS)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(distributions, "_convolve_slots", uncut_convolve_slots)
+        ref_slots, ref_wts = _lattice_power(base, n, span, _MAX_ATOMS)
+    at = np.union1d(slots, ref_slots)
+
+    def cdf_at(k, w):
+        cum = np.concatenate([[0.0], np.cumsum(w / w.sum())])
+        return cum[np.searchsorted(k, at, side="right")]
+
+    assert np.abs(cdf_at(slots, wts) - cdf_at(ref_slots, ref_wts)).max() <= 1e-14
+    # the base's own mass drifts by rounding through the powering (2.8e-13 at
+    # die n = 10^4, on either path), so the reference is the pre-cut powering
+    assert abs(wts.sum() - ref_wts.sum()) <= 1e-13
+
+
 class TestIidSumNormalized:
     def test_n1_identity(self):
         mu = iid_sum_normalized(rademacher(), 1)
@@ -557,6 +613,46 @@ class TestIidSumNormalized:
         assert abs(mean(mu)) <= 1e-12
         assert abs(variance(mu) - 1.0) <= 1e-12
         Discrete(mu.points, mu.weights)  # the public checks hold
+
+    @pytest.mark.parametrize("base, n", [
+        (rademacher(), 999_999),
+        (center(fair_die()), 199_999),
+        (seeded_lattice(10, 10), 99_999),
+        (seeded_lattice(30, 30), 33_333),
+        (seeded_lattice(60, 60), 16_666),
+    ], ids=["coin", "die", "width10", "width30", "width60"])
+    def test_documented_caps(self, base, n):
+        # n * width + 1 slots: the largest n under the 10^6-slot cap
+        mu = iid_sum_normalized(base, n)
+        Discrete(mu.points, mu.weights)  # the public checks hold
+        assert abs(math.fsum(mu.weights) - 1.0) <= 1e-12
+        with pytest.raises(SizeLimitError):
+            iid_sum_normalized(base, n + 1)
+
+    @pytest.mark.parametrize("n", [1024, 1500, 4096, 7777, 10_000])
+    def test_direct_cut_matches_uncut_powering(self, n):
+        assert_power_matches_uncut(rademacher(), n)
+        assert_power_matches_uncut(center(fair_die()), n)
+        for seed, inner in enumerate([(1, 2), (1, 4), (2, 3), (3, 4)]):
+            assert_power_matches_uncut(benchmark_like_lattice(inner, seed), n)
+
+    @settings(deadline=None, max_examples=20)
+    @given(discrete_dists(), st.integers(1, 10_000))
+    def test_direct_cut_matches_uncut_powering_on_lattices(self, base, n):
+        assume(base.points.size >= 2)
+        assert_power_matches_uncut(base, n)
+
+    @pytest.mark.parametrize("base, n", [
+        (rademacher(), 10_000),
+        (rademacher(), 999_999),
+        (center(fair_die()), 10_000),
+        (center(fair_die()), 199_999),
+    ], ids=["coin-1e4", "coin-cap", "die-1e4", "die-cap"])
+    def test_charfun_matches_closed_form(self, base, n):
+        mu = iid_sum_normalized(base, n)
+        for t in CltExperiment(base, ns=(n,)).t_grid:
+            phi = symmetric_sum_charfun(base.points, base.weights, n, t)
+            assert abs(charfun(mu, t) - phi) <= 1e-14
 
     @settings(deadline=None)
     @given(discrete_dists(), st.integers(1, 64))
