@@ -6,9 +6,11 @@ the panels of the Density's cached partition: the pdf values at their nodes
 are evaluated once and kept, each t reweights them by e^{itx}, and only the
 panels whose Kronrod-Gauss gap is too large for that t are bisected.
 Inversion recovers mu((a, b]) for non-atom endpoints a < b by integrating
-the real part of the truncated Levy kernel: each round of panels is one
-array pass, the kernel and the damping evaluated on all its nodes at once
-and phi called once per node.
+the real part of the truncated Levy kernel over t > 0 only: the kernel and
+phi are both Hermitian, K(-t) = conj K(t) and phi(-t) = conj phi(t), so that
+real part is even in t and the half line carries half of the integral (the
+Gil-Pelaez form).  Each round of panels is one array pass, the kernel and
+the damping evaluated on all its nodes at once and phi called once per node.
 """
 
 import math
@@ -132,8 +134,8 @@ def _invert_at(
     damping: float,
 ) -> float:
     """(1/2pi) times the integral over (lo, hi) of the real part of the
-    inversion integrand, whose imaginary part is odd in t and so integrates
-    to zero over the symmetric ranges levy_invert assembles.
+    inversion integrand.  That real part is even in t, so levy_invert reads
+    it on t > 0 only and doubles the result.
 
     Each round of panels is one array pass: phi is called once per node, as
     a scalar, and the kernel (e^{-ita} - e^{-itb}) / (it), patched at t = 0
@@ -173,42 +175,44 @@ def levy_invert(
 ) -> float:
     """Estimate mu((a, b]) from the characteristic function phi.
 
-    Computes (1/2pi) * integral_{-T}^{T} (e^{-ita} - e^{-itb})/(it) phi(t) dt,
-    integrating its real part only.  phi is called with one float t at a
-    time, once per quadrature node, and may return a complex or a float;
-    the kernel and the damping are evaluated as arrays, one round of panels
-    at a time.  The endpoints must satisfy a < b and should not be atoms of
-    mu.  When T is omitted the radius doubles from 64, capped at 1e5: the
-    core (-64, 64) takes tol/2 and each doubling adds the shells [-2T, -T]
-    and [T, 2T] at half the previous tolerance, so the error estimates sum
-    to at most tol, until a pair of shells adds less than tol.  Lattice
+    Computes (1/2pi) * integral_{-T}^{T} (e^{-ita} - e^{-itb})/(it) phi(t) dt
+    as (1/pi) times the integral of its real part over (0, T).  phi must be
+    Hermitian, phi(-t) = conj phi(t), as every characteristic function of a
+    law on the real line is: it is read at t > 0 only, called with one float
+    t at a time, once per quadrature node, and may return a complex or a
+    float.  The kernel and the damping are evaluated as arrays, one round of
+    panels at a time.  The endpoints must satisfy a < b and should not be
+    atoms of mu.  When T is omitted the radius doubles from 64, capped at
+    1e5: the core (0, 64) takes tol/4 and each doubling adds the shell
+    [T, 2T] at half the previous tolerance, so that, doubled, the error
+    estimates sum to at most tol, until a shell adds less than tol.  Lattice
     characteristic functions oscillate under raw truncation, so either pass
     T explicitly or use a small Gaussian ``damping`` (1e-6 works well).
-    ValueError on a bad tolerance or when the integrand is not finite at a
-    node, naming that t.
+    ValueError on a bad tolerance, a negative or non-finite damping, or when
+    the integrand is not finite at a node, naming that t.
     """
     _check_tol(tol)
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise ValueError(f"inversion interval must satisfy a < b, got ({a!r}, {b!r})")
-    if damping < 0.0:
-        raise ValueError("damping must be nonnegative")
+    damping = float(damping)
+    if not (math.isfinite(damping) and damping >= 0.0):
+        raise ValueError(f"damping must be nonnegative and finite, got {damping!r}")
     if T is not None:
         T = float(T)
         if not (math.isfinite(T) and T > 0.0):
             raise ValueError(f"truncation radius must be positive, got {T!r}")
-        return _invert_at(phi, a, b, -T, T, tol, damping)
+        return 2.0 * _invert_at(phi, a, b, 0.0, T, 0.5 * tol, damping)
     t_radius = _T_START
-    piece_tol = 0.5 * tol
-    total = _invert_at(phi, a, b, -t_radius, t_radius, piece_tol, damping)
+    piece_tol = 0.25 * tol
+    total = 2.0 * _invert_at(phi, a, b, 0.0, t_radius, piece_tol, damping)
     while 2.0 * t_radius <= _T_CAP:
         piece_tol *= 0.5
-        shells = (_invert_at(phi, a, b, -2.0 * t_radius, -t_radius, 0.5 * piece_tol, damping)
-                  + _invert_at(phi, a, b, t_radius, 2.0 * t_radius, 0.5 * piece_tol, damping))
-        total += shells
+        shell = 2.0 * _invert_at(phi, a, b, t_radius, 2.0 * t_radius, piece_tol, damping)
+        total += shell
         t_radius *= 2.0
-        if abs(shells) < tol:
+        if abs(shell) < tol:
             return total
     raise NonConvergenceError(
         "inversion estimates did not settle before the truncation cap; "

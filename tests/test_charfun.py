@@ -290,6 +290,11 @@ class TestLevyInvert:
             levy_invert(normal_charfun, 0.0, 1.0, T=-5.0)
         with pytest.raises(ValueError):
             levy_invert(normal_charfun, 0.0, 1.0, damping=-1e-6)
+        # neither may return a mass: nan would read as undamped, inf as 0
+        for damping, shown in ((float("nan"), "nan"), (float("inf"), "inf")):
+            for T in (5.0, None):
+                with pytest.raises(ValueError, match=rf"damping .*got {shown}$"):
+                    levy_invert(normal_charfun, -1.0, 1.0, T=T, damping=damping)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
     @pytest.mark.parametrize("T", [20.0, None])
@@ -304,16 +309,74 @@ class TestLevyInvert:
             levy_invert(normal_charfun, -1.0, 1.0, T=T, tol=-1e-8)
 
     def test_nonfinite_phi_names_the_node(self):
+        # phi is read on (0, 20] only: the first node past 10 is 10 + 10 * 0.2077849550
         phi = lambda t: complex("nan") if abs(t) > 10 else 1.0
-        with pytest.raises(ValueError, match=r"non-finite value near t=-19\.8291"):
+        with pytest.raises(ValueError, match=r"non-finite value near t=12\.0778$"):
             levy_invert(phi, -1.0, 1.0, T=20.0)
 
     @pytest.mark.parametrize("a, b", [(-1.96, 1.96), (-0.5, 1.25), (0.0, 3.0)])
     def test_normal_mass_to_rounding(self, a, b):
         # the truncation error at T = 40 is below e^{-800}: what is left is the
-        # quadrature, whose first round reads the kernel at its t = 0 node
-        ref = 0.5 * (math.erfc(-b / math.sqrt(2.0)) - math.erfc(-a / math.sqrt(2.0)))
-        assert abs(levy_invert(normal_charfun, a, b, T=40.0, tol=1e-12) - ref) <= 1e-12
+        # quadrature.  The shifted normals N(mu, 1) have a complex phi, whose
+        # imaginary part enters the half-line integral through the kernel.
+        for mu in (0.0, 0.7, -1.3):
+            def phi(t, mu=mu):
+                return cmath.exp(complex(-0.5 * t * t, mu * t))
+
+            ref = 0.5 * (math.erfc(-(b - mu) / math.sqrt(2.0))
+                         - math.erfc(-(a - mu) / math.sqrt(2.0)))
+            assert abs(levy_invert(phi, a, b, T=40.0, tol=1e-12) - ref) <= 1e-12, mu
+
+    @pytest.mark.parametrize("a, b", [(-0.5, 1.0), (-1.5, 0.5), (0.5, 2.5)])
+    def test_skewed_lattice_damped_auto_t(self, a, b):
+        # a lattice phi that is complex and not even: {-1, 0, 2}, weights (0.2, 0.5, 0.3)
+        pts, w = [-1.0, 0.0, 2.0], [0.2, 0.5, 0.3]
+        phi = char_fn(Discrete(np.array(pts), np.array(w)))
+        v = levy_invert(phi, a, b, tol=1e-6, damping=1e-6)
+        assert abs(v - damped_mass(pts, w, a, b, 1e-6)) <= 1e-6
+
+
+class TestHalfLine:
+    """levy_invert reads phi at t > 0 only: up to T, or up to the radius its
+    last shell reaches when T is automatic."""
+
+    CASES = {
+        "readme_normal": (lambda: normal_charfun, -1.96, 1.96, {}),
+        "damped_coin": (lambda: math.cos, 0.0, 2.0, {"tol": 1e-6, "damping": 1e-6}),
+        "die_T1000": (lambda: char_fn(fair_die()), 2.5, 4.5, {"T": 1000.0}),
+        "density_auto_T": (lambda: char_fn(normal(0.3, 1.2)), -1.0, 1.5, {"tol": 1e-8}),
+    }
+
+    @staticmethod
+    def _run(phi, a, b, kw, monkeypatch):
+        seen, pieces = [], []
+        invert_at = charfuns._invert_at
+
+        def recorded_invert_at(phi, a, b, lo, hi, tol, damping):
+            pieces.append((lo, hi))
+            return invert_at(phi, a, b, lo, hi, tol, damping)
+
+        def recorded(t):
+            seen.append(t)
+            return phi(t)
+
+        monkeypatch.setattr(charfuns, "_invert_at", recorded_invert_at)
+        return levy_invert(recorded, a, b, **kw), seen, pieces
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_phi_read_on_the_half_line(self, case, monkeypatch):
+        make_phi, a, b, kw = self.CASES[case]
+        _, seen, pieces = self._run(make_phi(), a, b, kw, monkeypatch)
+        radius = max(hi for _, hi in pieces)
+        if "T" in kw:
+            assert pieces == [(0.0, kw["T"])]
+        assert min(lo for lo, _ in pieces) == 0.0
+        assert seen and 0.0 < min(seen) and max(seen) <= radius
+
+    def test_damped_coin_call_count(self, monkeypatch):
+        # integrating over (-T, T) instead takes 90,345 calls
+        _, seen, _ = self._run(math.cos, 0.0, 2.0, {"tol": 1e-6, "damping": 1e-6}, monkeypatch)
+        assert len(seen) <= 46_000
 
 
 def _reference_kernel(t, a, b):
