@@ -15,12 +15,12 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from .errors import NonConvergenceError, SizeLimitError
-from .numerics import _MAX_PANELS, _f_at_nodes, _sweep, integrate
+from .numerics import _MAX_PANELS, _f_at_nodes, _gk15_antiderivative, _sweep
 
 _WEIGHT_SUM_TOL = 1e-12
 _MERGE_TOL = 1e-12
@@ -33,11 +33,26 @@ _PARTITION_TAIL = 0.25 * _CDF_TOL
 _MOMENT_TOL = 1e-9
 # a sweep of a pdf goes on past settled shells until it has seen this mass
 _SWEPT_MASS = 0.5
-_TABLE_SIZE = 8193
-_TABLE_TAIL = 1e-12  # mass a Density table leaves beyond each infinite end
-# above the step error of 4096+ grid points (2.4e-4 on a box pdf read as 0 at
-# its ends, 6e-6 on the Laplace cusp), below a heavy tail's miss (Cauchy: 1)
+# the knot table of a Density's CDF cuts each panel into 2^13 // panels equal
+# cells, at least one
+_KNOTS = 1 << 13
+# the inverse CDF stops once |F(x) - u| is at most this, or after this many
+# safeguarded Newton steps
+_INVERSE_TOL = 1e-14
+_INVERSE_STEPS = 64
+# the inverse keeps about twenty arrays the size of its input alive; sample
+# feeds it the uniforms in runs of this many to bound them
+_INVERSE_RUN = 1 << 15
+# mass convolve's pdf grids leave beyond each infinite end of a support
+_GRID_TAIL = 1e-12
+# the largest miss convolve allows between the trapezoid mass of a pdf grid
+# and the partition's: above the step error of 4096+ grid points (2.4e-4 on a
+# box pdf read as 0 at its ends, 6e-6 on the Laplace cusp), below a heavy
+# tail's miss (Cauchy: 1)
 _GRID_MASS_TOL = 1e-3
+# a convolved pdf bends at a grid node whose second difference is above this
+# fraction of its peak; straight runs, as in a triangle, vary by rounding only
+_BEND_RTOL = 1e-12
 # lattice detection: gaps are commensurable to this fraction of the width
 _SPAN_RTOL = 1e-12
 # lattice powering convolves directly while a product takes at most this many
@@ -191,10 +206,13 @@ class Density:
     within ``mass_tol`` (checked at construction by a quadrature that finds
     mass far from the origin, but not a peak narrower than the node spacing
     around it, such as N(1e4, 1)).  Queries read one partition of the pdf,
-    built on first use at tolerance 1e-10, so ``cdf`` and ``quantile`` are
-    accurate to 1e-10 over the whole support, heavy tails included;
-    ``charfun`` reweights the pdf at the partition's quadrature nodes.
-    Moments, ``sample``, ``levy_metric`` and
+    built on first use at tolerance 1e-10.  On each of its panels the
+    polynomial through the pdf at the panel's 15 Gauss-Kronrod nodes
+    integrates to the CDF, which starts from the mass up to the panel's left
+    edge; ``cdf``, ``quantile``, ``sample`` and ``levy_metric`` all read that
+    one CDF, accurate to 1e-10 over the whole support, heavy tails included
+    (within 5e-13 on the normal, Laplace, logistic and Student t3 laws).
+    ``charfun`` reweights the pdf at the same nodes.  Moments and
     ``convolve`` raise NonConvergenceError on heavy tails.
     """
 
@@ -219,18 +237,34 @@ class Density:
         if abs(mass - 1.0) > self.mass_tol:
             raise ValueError(f"density mass {mass!r} deviates from 1 beyond mass_tol")
 
+    # breakpoints the partition's sweep starts from: set by convolve, which
+    # knows where its piecewise-linear pdf bends
+    _kinks = None
+
     @cached_property
-    def _partition(self) -> tuple[np.ndarray, np.ndarray]:
-        """Panel edges of one sweep of the pdf at the cdf tolerance and the
-        mass up to each edge (read-only: cached and shared)."""
-        _, panels = _sweep(self.pdf, *self.support, _CDF_TOL, min_mass=_SWEPT_MASS)
+    def _partition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Panel edges of one sweep of the pdf at the cdf tolerance, the mass
+        up to each edge and the pdf at the GK15 nodes of each panel, one row
+        per panel, as the sweep read them (read-only: cached and shared)."""
+        seen = []
+
+        def values(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+            fx = _f_at_nodes(self.pdf, pa, pb)
+            seen.append((pa, pb, fx))
+            return fx
+
+        _, panels = _sweep(self.pdf, *self.support, _CDF_TOL, self._kinks, min_mass=_SWEPT_MASS,
+                           values=values)
         a, b, v = (np.concatenate(column) for column in zip(*panels))
         order = np.argsort(a)
         edges = np.concatenate([a[order[:1]], b[order]])
         mass = np.concatenate([[0.0], np.cumsum(v[order])])
-        edges.flags.writeable = False
-        mass.flags.writeable = False
-        return edges, mass
+        sa, sb, fx = (np.concatenate(column) for column in zip(*seen))
+        row = dict(zip(zip(sa.tolist(), sb.tolist()), range(sa.size)))
+        nodes = fx[[row[k] for k in zip(a[order].tolist(), b[order].tolist())]]
+        for column in (edges, mass, nodes):
+            column.flags.writeable = False
+        return edges, mass, nodes
 
     @cached_property
     def _node_store(self) -> dict:
@@ -264,7 +298,7 @@ class Density:
         """Integral of g * pdf by a sweep seeded with the partition's edges,
         out past the middle half of the mass at least (NonConvergenceError
         when its shells never settle)."""
-        edges, mass = self._partition
+        edges, mass, _ = self._partition
         reach = float(np.abs(edges[np.searchsorted(mass, [0.25, 0.75])]).max())
         return _sweep(lambda x: g(x) * self.pdf(x), *self.support, tol, edges, reach=reach)[0]
 
@@ -274,24 +308,174 @@ class Density:
         v = self._integral(lambda x: (x - m) ** 2, _MOMENT_TOL)
         return m, v
 
-    def _window(self) -> tuple[float, float]:
-        """The support, each infinite end moved in to leave 1e-12 beyond."""
-        lo, hi = self.support
-        return (lo if math.isfinite(lo) else quantile(self, _TABLE_TAIL),
-                hi if math.isfinite(hi) else quantile(self, 1.0 - _TABLE_TAIL))
+    @cached_property
+    def _panel_cdf(self) -> "_PanelCdf":
+        """The CDF on the partition's panels, from the pdf values its sweep
+        read (read-only: cached and shared)."""
+        edges, mass, nodes = self._partition
+        a, b = edges[:-1], edges[1:]
+        half = 0.5 * (b - a)
+        coef = np.ascontiguousarray(((nodes @ _gk15_antiderivative()) * half[:, None]).T)
+        # the constant term that Horner's rule cancels exactly at s = -1, so
+        # that F starts from the mass at each left edge bit for bit
+        coef[0] = 0.0
+        coef[0] = -_horner(coef, -1.0)
+        center = 0.5 * (a + b)
+        for column in (center, half, coef):
+            column.flags.writeable = False
+        return _PanelCdf(edges, mass, center, half, coef)
 
     @cached_property
-    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Trapezoid CDF on 8193 equispaced points of the window, for sample
-        and levy_metric (read-only: cached and shared)."""
-        lo, hi = self._window()
-        xs = np.linspace(lo, hi, _TABLE_SIZE)
-        fs = _pdf_on_grid(self, xs)
-        steps = 0.5 * (fs[1:] + fs[:-1]) * np.diff(xs)
-        cum = cdf(self, lo) + np.concatenate([[0.0], np.cumsum(steps)])
-        xs.flags.writeable = False
-        cum.flags.writeable = False
-        return xs, cum
+    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Knots of the CDF with its values and the pdf polynomial's there:
+        each panel cut into max(1, 2^13 // panels) equal cells, F evaluated
+        at every cell edge and made nondecreasing where the polynomial or
+        its rounding dips (read-only: cached and shared).  The inverse CDF brackets and seeds
+        from it, and levy_metric interpolates it."""
+        pc = self._panel_cdf
+        cells = max(1, _KNOTS // pc.center.size)
+        frac = np.arange(cells) / cells
+        s = np.append(2.0 * frac - 1.0, 1.0)  # each cell's left end, then the panel's right end
+        coef = pc.coef[:, :, None]
+        values = _horner(coef, s[:-1])
+        slopes = _horner(coef[1:] * np.arange(1, coef.shape[0])[:, None, None], s) / pc.half[:, None]
+        lefts = pc.edges[:-1, None] + (2.0 * pc.half)[:, None] * frac
+        xs = np.append(lefts.ravel(), pc.edges[-1])
+        cum = np.append((pc.mass[:-1, None] + values).ravel(), pc.mass[-1])
+        cum = np.clip(np.maximum.accumulate(cum), 0.0, 1.0)
+        pdf = np.append(slopes[:, :-1].ravel(), slopes[-1, -1])
+        for column in (xs, cum, pdf):
+            column.flags.writeable = False
+        return xs, cum, pdf
+
+    def _window(self) -> tuple[float, float]:
+        """The support, each infinite end moved in to leave 1e-12 beyond:
+        the span of convolve's pdf grids."""
+        lo, hi = self.support
+        return (lo if math.isfinite(lo) else quantile(self, _GRID_TAIL),
+                hi if math.isfinite(hi) else quantile(self, 1.0 - _GRID_TAIL))
+
+
+class _PanelCdf(NamedTuple):
+    """A Density's CDF on the panels between its partition's edges.  On
+    panel i, with s = (x - center[i]) / half[i] in [-1, 1], F(x) = mass[i] +
+    sum_m coef[m, i] s^m, the integral of the degree-14 polynomial through
+    the pdf at the panel's Kronrod nodes; that polynomial, F's derivative,
+    stands for the pdf.  F is the mass at each left edge bit for bit, and
+    integrated over the whole panel it gives the Kronrod value, the step in
+    mass, so F meets the mass at each right edge too, to about 1e-13 times
+    the largest pdf value on the panel."""
+
+    edges: np.ndarray
+    mass: np.ndarray
+    center: np.ndarray
+    half: np.ndarray
+    coef: np.ndarray
+
+
+def _horner(c, s):
+    """sum_m c[m] s^m by Horner's rule: for a list of floats and a float, or
+    for rows of an array that broadcast against an array s.  cdf reads it in
+    the order of operations that _panel_values uses, so the two agree bit
+    for bit."""
+    y = c[-1] * s
+    for a in c[-2:0:-1]:
+        y += a
+        y *= s
+    return y + c[0]
+
+
+def _panel_values(pc: _PanelCdf, i: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and the pdf polynomial at the points x, x[k] in panel i[k], by one
+    Horner pass that reads each coefficient row once (so no panels-by-points
+    block is gathered)."""
+    s = (x - pc.center.take(i)) / pc.half.take(i)
+    n = pc.coef.shape[0] - 1
+    c = pc.coef[n].take(i)
+    y = c * s
+    dy = n * c
+    for m in range(n - 1, 0, -1):
+        c = pc.coef[m].take(i)
+        y += c
+        y *= s
+        dy *= s
+        dy += m * c
+    y += pc.coef[0].take(i)
+    return pc.mass.take(i) + y, dy / pc.half.take(i)
+
+
+def _density_cdf(d: Density, x: np.ndarray) -> np.ndarray:
+    """cdf(d, x) at every point of the array x, bit for bit."""
+    pc = d._panel_cdf
+    lo, hi = float(pc.edges[0]), float(pc.edges[-1])
+    xc = np.clip(x, lo, hi)
+    i = np.minimum(np.searchsorted(pc.edges, xc, side="right") - 1, pc.center.size - 1)
+    value = np.clip(_panel_values(pc, i, xc)[0], 0.0, 1.0)
+    value[x <= lo] = 0.0
+    value[x >= hi] = min(float(pc.mass[-1]), 1.0)
+    return value
+
+
+def _inverse_seed(table: tuple, j: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Where the cubic Hermite interpolant of the inverse CDF across knot
+    cell j - 1 takes each u: built from F and the pdf at the cell's two
+    knots, its end slopes capped at 3 times the cell's mean slope, which
+    keeps it monotone (Fritsch and Carlson 1980); within about 1e-12 of the
+    root on smooth laws."""
+    xs, cum, pdf = table
+    lo, f_lo = xs.take(j - 1), cum.take(j - 1)
+    width, rise = xs.take(j) - lo, cum.take(j) - f_lo
+    tau = (u - f_lo) / rise
+    m_lo = rise / np.maximum(width * pdf.take(j - 1), rise / 3.0)
+    m_hi = rise / np.maximum(width * pdf.take(j), rise / 3.0)
+    return lo + width * (tau * (tau * (3.0 - 2.0 * tau) + (1.0 - tau) * (m_lo * (1.0 - tau) - m_hi * tau)))
+
+
+def _inverse_cdf(d: Density, u: np.ndarray) -> np.ndarray:
+    """inf{x : F(x) >= u} for each u in [0, 1] of the array, F the
+    Density's CDF.
+
+    The u are taken in sorted order.  The knot table brackets each in the
+    first cell whose right knot reaches it, which puts a u at the level of a
+    flat stretch at that stretch's left end, and _inverse_seed starts x
+    there.  Safeguarded Newton steps on the panel polynomial follow: a step
+    that leaves the bracket, or one from a point where the pdf polynomial
+    is not positive, is replaced by the bracket's midpoint, and a step that
+    lands on a bracket end is kept.  Each x stops once |F(x) - u| <= 1e-14,
+    after 64 steps at most.  A u at or below the first knot's value maps to
+    the first knot, one above the last knot's value to the last knot."""
+    table = d._cdf_table
+    xs, cum, _ = table
+    pc = d._panel_cdf
+    order = np.argsort(u)
+    u = u[order]
+    j = np.searchsorted(cum, u, side="left")
+    first, last = np.searchsorted(j, [1, cum.size])
+    x = np.empty(u.size)
+    x[:first], x[last:] = xs[0], xs[-1]
+    j, u = j[first:last], u[first:last]
+    lo, hi = xs.take(j - 1), xs.take(j)
+    t = _inverse_seed(table, j, u)
+    i = (j - 1) // max(1, _KNOTS // pc.center.size)
+    pos = np.arange(first, last)
+    for _ in range(_INVERSE_STEPS):
+        F, f = _panel_values(pc, i, t)
+        r = F - u
+        done = np.abs(r) <= _INVERSE_TOL
+        x[pos[done]] = t[done]
+        if done.all():
+            break
+        keep = np.flatnonzero(~done)
+        pos, t, lo, hi, u, i, r, f = (v.take(keep) for v in (pos, t, lo, hi, u, i, r, f))
+        lo = np.where(r < 0.0, t, lo)
+        hi = np.where(r > 0.0, t, hi)
+        step = t - np.divide(r, f, out=np.full_like(r, np.inf), where=f > 0.0)
+        t = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+    else:
+        x[pos] = t
+    out = np.empty_like(x)
+    out[order] = x
+    return out
 
 
 def _pdf_on_grid(d: Density, xs: np.ndarray) -> np.ndarray:
@@ -342,8 +526,9 @@ def _require_dist(mu) -> None:
 
 def cdf(mu: Dist, x: float) -> float:
     """F(x) = mu((-inf, x]); right-continuous, includes an atom at x.  For a
-    Density: a prefix mass of the partition plus one partial panel, accurate
-    to 1e-10 over the whole support, heavy tails included."""
+    Density: the panel polynomial read by Horner's rule (see Density),
+    accurate to 1e-10 over the whole support, heavy tails included; 0 up to
+    the partition's first edge and its total mass from the last."""
     _require_dist(mu)
     x = float(x)
     if math.isnan(x):
@@ -351,21 +536,22 @@ def cdf(mu: Dist, x: float) -> float:
     if isinstance(mu, Discrete):
         idx = int(np.searchsorted(mu.points, x, side="right"))
         return float(mu._cumweights[idx - 1]) if idx > 0 else 0.0
-    edges, mass = mu._partition
-    if x <= edges[0]:
+    pc = mu._panel_cdf
+    if x <= pc.edges[0]:
         return 0.0
-    if x >= edges[-1]:
-        return min(float(mass[-1]), 1.0)
-    i = int(np.searchsorted(edges, x, side="right")) - 1
-    value = float(mass[i]) + integrate(mu.pdf, float(edges[i]), x, tol=_CDF_TOL)
+    if x >= pc.edges[-1]:
+        return min(float(pc.mass[-1]), 1.0)
+    i = int(np.searchsorted(pc.edges, x, side="right")) - 1
+    s = (x - float(pc.center[i])) / float(pc.half[i])
+    value = float(pc.mass[i]) + _horner(pc.coef[:, i].tolist(), s)
     return min(max(value, 0.0), 1.0)
 
 
 def quantile(mu: Dist, p: float) -> float:
     """Generalized inverse CDF: inf{x : cdf(mu, x) >= p} for p in (0, 1).  For
-    a Density: bisection inside the partition panel whose mass reaches p (its
-    last edge beyond the partition's mass), so cdf at the result is within
-    1e-10 of p over the whole support, heavy tails included."""
+    a Density: safeguarded Newton steps on its CDF from a knot-table seed,
+    the inverse that sample uses, so cdf at the result is within 1e-14 of p
+    (the partition's last edge for a p beyond its mass)."""
     _require_dist(mu)
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -373,21 +559,7 @@ def quantile(mu: Dist, p: float) -> float:
     if isinstance(mu, Discrete):
         idx = int(np.searchsorted(mu._cumweights, p, side="left"))
         return float(mu.points[min(idx, mu.points.size - 1)])
-    edges, mass = mu._partition
-    i = int(np.searchsorted(mass, p, side="left"))
-    if i == mass.size:
-        return float(edges[-1])
-    lo_b, hi_b = float(edges[i - 1]), float(edges[i])
-    # bisect keeping cdf(lo_b) < p <= cdf(hi_b)
-    for _ in range(200):
-        mid = 0.5 * (lo_b + hi_b)
-        if hi_b - lo_b < 1e-12 * max(1.0, abs(lo_b), abs(hi_b)):
-            break
-        if cdf(mu, mid) >= p:
-            hi_b = mid
-        else:
-            lo_b = mid
-    return hi_b
+    return float(_inverse_cdf(mu, np.array([p]))[0])
 
 
 def mean(mu: Dist) -> float:
@@ -480,7 +652,13 @@ def _convolve_density(a: Density, b: Density) -> Density:
     def pdf(x: float, _zs=zs, _vals=conv) -> float:
         return float(np.interp(x, _zs, _vals, left=0.0, right=0.0))
 
-    return Density(pdf, (z0, z1), mass_tol=1e-6)
+    out = Density(pdf, (z0, z1), mass_tol=1e-6)
+    # the pdf bends at the grid nodes whose second difference exceeds
+    # rounding; starting the partition there leaves one straight piece per
+    # panel, where the sweep would bisect towards every bend
+    bend = np.abs(np.diff(conv, 2)) > _BEND_RTOL * float(conv.max())
+    object.__setattr__(out, "_kinks", zs[1:-1][bend])
+    return out
 
 
 def convolve(mu: Dist, nu: Dist) -> Dist:
@@ -760,7 +938,8 @@ def iid_sum_normalized(mu: Discrete, n: int, max_atoms: int = _MAX_ATOMS) -> Dis
 def sample(mu: Dist, n: int, seed: int) -> Empirical:
     """n iid draws from mu, produced by applying the quantile transform to
     seeded uniforms; identical inputs give identical output.  ``samples``
-    of the result holds the draws in the order they were made."""
+    of the result holds the draws in the order they were made.  A Density
+    inverts its CDF as quantile does, to |F(x) - u| <= 1e-14."""
     _require_dist(mu)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"sample size must be a positive integer, got {n!r}")
@@ -768,9 +947,8 @@ def sample(mu: Dist, n: int, seed: int) -> Empirical:
     u = rng.random(int(n))
     if isinstance(mu, Discrete):
         return Empirical(mu._draw(u))
-    xs, cum = mu._cdf_table
-    keep = np.concatenate([[True], np.diff(cum) > 0.0])
-    return Empirical(np.interp(u, cum[keep], xs[keep]))
+    runs = range(0, u.size, _INVERSE_RUN)
+    return Empirical(np.concatenate([_inverse_cdf(mu, u[k:k + _INVERSE_RUN]) for k in runs]))
 
 
 def normal_density(x: float, m: float = 0.0, sigma2: float = 1.0) -> float:

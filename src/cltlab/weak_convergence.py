@@ -18,6 +18,7 @@ from .distributions import (
     Density,
     Discrete,
     Dist,
+    _density_cdf,
     _require_dist,
     atom_mass,
     cdf,
@@ -112,7 +113,7 @@ class ConvergenceProbe:
     @cached_property
     def _limit_cdf(self) -> np.ndarray:
         """The limit's CDF at each grid point, computed on first use."""
-        return np.array([cdf(self.limit, g) for g in self.grid])
+        return _cdf_values(self.limit, np.asarray(self.grid))
 
 
 def default_grid(limit: Dist) -> tuple[float, ...]:
@@ -138,15 +139,20 @@ def default_probe(limit: Dist, test_fns: tuple[TestFn, ...] | None = None) -> Co
     return ConvergenceProbe(limit, default_grid(limit), fns)
 
 
-def cdf_distance(mu: Dist, probe: ConvergenceProbe) -> float:
-    """sup over the probe grid of |F_mu - F_limit|.  A Discrete mu is read
-    at the whole grid at once from the cumulative weights that cdf reads;
-    a Density mu takes one cdf call per grid point."""
-    _require_dist(mu)
+def _cdf_values(mu: Dist, xs: np.ndarray) -> np.ndarray:
+    """cdf(mu, x) at every point of the array xs in one array pass, bit for
+    bit: from the cumulative weights of a Discrete, from the panel
+    polynomials of a Density."""
     if isinstance(mu, Discrete):
-        values = _StepCdf(mu).value(np.asarray(probe.grid))
-    else:
-        values = np.array([cdf(mu, g) for g in probe.grid])
+        return _StepCdf(mu).value(xs)
+    return _density_cdf(mu, xs)
+
+
+def cdf_distance(mu: Dist, probe: ConvergenceProbe) -> float:
+    """sup over the probe grid of |F_mu - F_limit|, both CDFs read at the
+    whole grid at once."""
+    _require_dist(mu)
+    values = _cdf_values(mu, np.asarray(probe.grid))
     return float(np.max(np.abs(values - probe._limit_cdf)))
 
 
@@ -223,12 +229,16 @@ class _StepCdf:
 
 
 class _TableCdf:
-    """Piecewise-linear CDF of a Density from its cached table."""
+    """A Density's CDF as the piecewise-linear interpolant of its knot table
+    (Density._cdf_table): exact at about 2^13 knots, 0 before the first and
+    1 after the last.  The corridor reads it rather than the panel
+    polynomials, which would cost several times more on its many small
+    arrays."""
 
     continuous = True
 
     def __init__(self, d: Density):
-        self.xs, self.cum = d._cdf_table
+        self.xs, self.cum, _ = d._cdf_table
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return np.interp(x, self.xs, self.cum, left=0.0, right=1.0)

@@ -21,6 +21,46 @@ def normal_mass(a: float, b: float) -> float:
     return normal_cdf(b) - normal_cdf(a)
 
 
+def laplace_cdf(x: float) -> float:
+    return 0.5 * math.exp(x) if x < 0.0 else 1.0 - 0.5 * math.exp(-x)
+
+
+def logistic_cdf(x: float) -> float:
+    e = math.exp(-abs(x))
+    return 1.0 / (1.0 + e) if x >= 0.0 else e / (1.0 + e)
+
+
+def cauchy_cdf(x: float) -> float:
+    return 0.5 + math.atan(x) / math.pi
+
+
+def student_t3_pdf(x: float) -> float:
+    return 6.0 * math.sqrt(3.0) / (math.pi * (3.0 + x * x) ** 2)
+
+
+def student_t3_cdf(x: float) -> float:
+    """Student's t with 3 degrees of freedom: 1/2 + (atan(t) + t / (1 +
+    t^2)) / pi with t = x / sqrt(3), the integral of student_t3_pdf."""
+    t = x / math.sqrt(3.0)
+    return 0.5 + (math.atan(t) + t / (1.0 + t * t)) / math.pi
+
+
+def dkw_band(n: int, alpha: float = 1e-6) -> float:
+    """Dvoretzky-Kiefer-Wolfowitz (Massart 1990): the sup distance between
+    the empirical CDF of n iid draws and the true one exceeds this with
+    probability at most alpha."""
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+
+
+def ks_distance(xs, F) -> float:
+    """sup |empirical CDF of xs - F|, read at the sorted draws from both sides."""
+    xs = np.sort(np.asarray(xs, dtype=float))
+    n = xs.size
+    Fx = np.array([F(float(x)) for x in xs])
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - Fx), np.max(Fx - (i - 1) / n)))
+
+
 def damped_mass(points, weights, a: float, b: float, damping: float) -> float:
     """mu((a, b]) for the atoms convolved with N(0, 2 damping), the law whose
     characteristic function is phi(t) exp(-damping t^2)."""

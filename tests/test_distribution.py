@@ -37,9 +37,11 @@ from cltlab.distributions import (
     _EPS,
     _FFT_FLOOR,
     _MAX_ATOMS,
+    _PARTITION_TAIL,
     _binary_power,
     _convolve_discrete,
     _count_vectors_within,
+    _density_cdf,
     _lattice_power,
     _lattice_span,
     _multinomial_power,
@@ -55,7 +57,20 @@ from cltlab.weak_convergence import (
     integral_against,
     levy_metric,
 )
-from oracles import coin_sum_cdf, discrete_dists, normal_cdf, symmetric_sum_charfun
+from oracles import (
+    brute_levy,
+    cauchy_cdf,
+    coin_sum_cdf,
+    discrete_dists,
+    dkw_band,
+    ks_distance,
+    laplace_cdf,
+    logistic_cdf,
+    normal_cdf,
+    student_t3_cdf,
+    student_t3_pdf,
+    symmetric_sum_charfun,
+)
 
 
 class TestConstruction:
@@ -287,12 +302,151 @@ class TestHeavyTails:
         q = quantile(d, 0.9)
         assert abs(q - math.tan(0.4 * math.pi)) <= 1e-8
         assert abs(0.5 + math.atan(q) / math.pi - 0.9) <= 1e-10
-        # everything that needs more than the CDF fails loudly
-        for op in (lambda: mean(d), lambda: variance(d), lambda: sample(d, 10, seed=0),
-                   lambda: levy_metric(d, standard_normal()), lambda: convolve(d, d),
+        # sample and levy_metric read the CDF alone
+        u = np.random.default_rng(0).random(10)
+        xs = sample(d, 10, seed=0).samples
+        assert max(abs(cauchy_cdf(float(x)) - p) for x, p in zip(xs, u)) <= 1e-10
+        grid = np.linspace(-6.0, 6.0, 241)
+        brute = brute_levy(cauchy_cdf, normal_cdf, grid, n_eps=2001)
+        assert abs(levy_metric(d, standard_normal()) - brute) <= 2e-3
+        # the moments and convolve need more than the CDF and fail loudly
+        for op in (lambda: mean(d), lambda: variance(d), lambda: convolve(d, d),
                    lambda: convolve(standard_normal(), d)):
             with pytest.raises(NonConvergenceError):
                 op()
+
+
+def _logistic_pdf(x):
+    e = math.exp(-abs(x))
+    return e / (1.0 + e) ** 2
+
+
+# (Density, closed-form CDF, bound on |cdf - closed form|): the Cauchy bound
+# is the partition's tail bound, the mass its far left tail leaves out
+ONE_CDF_LAWS = {
+    "normal": (standard_normal, normal_cdf, 1e-12),
+    "laplace": (laplace_density, laplace_cdf, 1e-12),
+    "logistic": (lambda: Density(_logistic_pdf, (-math.inf, math.inf)), logistic_cdf, 1e-12),
+    "t3": (lambda: Density(student_t3_pdf, (-math.inf, math.inf)), student_t3_cdf, 1e-12),
+    "cauchy": (cauchy_density, cauchy_cdf, _PARTITION_TAIL),
+    # swept reflected, as a support (-inf, b) is
+    "exp_left": (lambda: Density(math.exp, (-math.inf, 0.0)), lambda x: math.exp(min(x, 0.0)), 1e-12),
+}
+
+
+class TestOneCdf:
+    """cdf, quantile and sample of a Density read one CDF, the panel
+    polynomials, accurate over the whole line, heavy tails included."""
+
+    @pytest.mark.parametrize("name", list(ONE_CDF_LAWS))
+    def test_cdf_matches_closed_form(self, name):
+        build, F, bound = ONE_CDF_LAWS[name]
+        d = build()
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([np.linspace(-40.0, 40.0, 5001), 5.0 * rng.standard_cauchy(4000),
+                             np.geomspace(1e-3, 1e6, 500), -np.geomspace(1e-3, 1e6, 499)])
+        got = np.array([cdf(d, float(x)) for x in xs])
+        assert xs.size == 10_000
+        assert max(abs(g - F(float(x))) for x, g in zip(xs, got)) <= bound
+        # the array pass behind cdf_distance reads the same values, and at
+        # every edge of the partition the CDF is the prefix mass
+        assert np.array_equal(_density_cdf(d, xs), got)
+        edges, mass, _ = d._partition
+        assert np.array_equal(_density_cdf(d, edges[1:-1]), mass[1:-1])
+
+    @pytest.mark.parametrize("name", list(ONE_CDF_LAWS))
+    def test_quantile_inverts_cdf(self, name):
+        build, F, bound = ONE_CDF_LAWS[name]
+        d = build()
+        ps = np.concatenate([np.linspace(0.001, 0.999, 199), [1e-9, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-9]])
+        for p in ps.tolist():
+            q = quantile(d, p)
+            assert abs(cdf(d, q) - p) <= 1e-12
+            assert abs(F(q) - p) <= bound + 1e-12
+
+    @pytest.mark.parametrize("name", list(ONE_CDF_LAWS))
+    def test_every_draw_inverts_its_uniform(self, name):
+        build, F, bound = ONE_CDF_LAWS[name]
+        d = build()
+        n, seed = 10_000, 17
+        u = np.random.default_rng(seed).random(n)
+        xs = sample(d, n, seed).samples
+        assert np.max(np.abs(_density_cdf(d, xs) - u)) <= 1e-12
+        assert max(abs(F(float(x)) - p) for x, p in zip(xs, u)) <= bound + 1e-12
+        if name in ("cauchy", "t3"):
+            assert ks_distance(xs, F) <= dkw_band(n)
+
+    def test_draws_past_one_run_keep_their_order(self):
+        # sample inverts its uniforms in runs of 2^15
+        d = standard_normal()
+        n, seed = (1 << 15) + 1000, 9
+        u = np.random.default_rng(seed).random(n)
+        assert np.max(np.abs(_density_cdf(d, sample(d, n, seed).samples) - u)) <= 1e-12
+
+    def test_levy_between_shifted_cauchys(self):
+        a = cauchy_density()
+        b = shift_scale(a, -0.7, 1.0)
+        grid = np.linspace(-8.0, 8.0, 321)
+        brute = brute_levy(cauchy_cdf, lambda x: cauchy_cdf(x - 0.7), grid, n_eps=2001)
+        assert abs(levy_metric(a, b) - brute) <= 2e-3
+        assert abs(levy_metric(b, a) - brute) <= 2e-3
+
+    def test_zero_density_gap(self):
+        # 1/2 U[0, 1] + 1/2 U[2, 3]: F is 1/2 on [1, 2]
+        d = Density(lambda x: 0.5 if 0.0 <= x <= 1.0 or 2.0 <= x <= 3.0 else 0.0, (0.0, 3.0))
+        flat = cdf(d, 1.5)
+        assert abs(flat - 0.5) <= 1e-10
+        for x in (1.0 + 1e-9, 1.25, 1.75, 2.0 - 1e-9):
+            assert cdf(d, x) == flat
+        # the generalized inverse of the level of a flat stretch is the
+        # stretch's left end, and of a level above it the right end (the
+        # panel polynomial across the jump at 1 overshoots the flat by 4e-12)
+        assert abs(quantile(d, flat) - 1.0) <= 1e-9
+        assert abs(quantile(d, flat - 1e-10) - 1.0) <= 1e-9
+        assert abs(quantile(d, flat + 1e-10) - 2.0) <= 1e-9
+        # the partition's mass is good to 1e-10, and the pdf is 1/2
+        assert abs(quantile(d, 0.25) - 0.5) <= 2e-10
+        assert abs(quantile(d, 0.75) - 2.5) <= 2e-10
+        xs = sample(d, 20_000, seed=4).samples
+        assert not np.any((xs > 1.0) & (xs < 2.0))
+        assert 0.45 < np.mean(xs < 1.5) < 0.55
+        # inside the tiny panel across the jump at 1, where the polynomial
+        # wiggles and the seed is poor, Newton and bisection still converge
+        edges = d._partition[0]
+        k = int(np.searchsorted(edges, 1.0))
+        for x in np.linspace(edges[k - 1], edges[k], 9)[1:-1].tolist():
+            p = cdf(d, x)
+            assert abs(cdf(d, quantile(d, p)) - p) <= 1e-14
+
+    def test_zero_density_gap_between_panel_edges(self):
+        # the same law on (-1, 3): the sweep's first bisections put panel
+        # edges on 0, 1 and 2, so F is exactly flat on [1, 2]
+        d = Density(lambda x: 0.5 if 0.0 <= x <= 1.0 or 2.0 <= x <= 3.0 else 0.0, (-1.0, 3.0))
+        flat = cdf(d, 1.5)
+        assert cdf(d, 1.0) == cdf(d, 2.0) == flat
+        assert quantile(d, flat) == 1.0
+        assert quantile(d, float(np.nextafter(flat, 1.0))) == 2.0
+
+    def test_quantile_where_the_pdf_vanishes(self):
+        # near 0 the triangle's F is quadratic, so the knot cell's seed is
+        # poor and the Newton steps must go on until they converge
+        u = Density(lambda x: 1.0, (0.0, 1.0))
+        tri = convolve(u, u)
+        for p in (1e-12, 1e-10, 1e-8, 1e-6):
+            assert abs(cdf(tri, quantile(tri, p)) - p) <= 1e-14
+
+    def test_convolved_partition_starts_at_the_bends(self):
+        # the interpolated pdf of N * N bends at every grid node: seeded
+        # there, each panel is one straight piece and its Kronrod value exact
+        nn = convolve(standard_normal(), standard_normal())
+        edges, mass, _ = nn._partition
+        assert abs(mass[-1] - 1.0) <= 1e-13
+        assert abs(cdf(nn, 0.0) - 0.5) <= 1e-6
+        # a triangle is straight but at its peak: two panels, no grid seeds
+        u = Density(lambda x: 1.0, (0.0, 1.0))
+        tri = convolve(u, u)
+        assert tri._partition[0].size <= 4
+        assert abs(cdf(tri, 0.5) - 0.125) <= 4.0 / 4095.0  # the grid's first-order error
 
 
 class TestNormalDensity:

@@ -383,12 +383,13 @@ class TestLevyAgainstFourTerms:
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-6])
     def test_binding_atom_beyond_the_table(self, tol):
-        # 0.2 of mass at +12, past the normal table's right end: the corridor
-        # binds at that atom, where the table reads 1.0
+        # 0.2 of mass at +40, past the normal knot table's right end (the
+        # partition's last edge, 32): the corridor binds at that atom, where
+        # the table reads 1.0
         core = iid_sum_normalized(rademacher(), 16)
-        mu = Discrete(np.append(core.points, 12.0), np.append(0.8 * core.weights, 0.2))
+        mu = Discrete(np.append(core.points, 40.0), np.append(0.8 * core.weights, 0.2))
         N = standard_normal()
-        assert N._cdf_table[0][-1] < 12.0
+        assert N._cdf_table[0][-1] < 40.0
         v = levy_metric(mu, N, tol)
         assert v == _four_term_levy(mu, N, tol)
         assert levy_metric(N, mu, tol) == _four_term_levy(N, mu, tol)
