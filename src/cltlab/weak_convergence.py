@@ -30,6 +30,12 @@ from .errors import AtomOnGridError
 from .numerics import _check_tol
 
 _LEVY_SLACK = 1e-12
+# The finest bisection grid whose points are all exact floats on [0, 1]:
+# below it the bracket's midpoint rounds onto an end and never narrows.
+_LEVY_FINEST_TOL = 2.0 ** -52
+# Rounds of exact checks that may step an atom's rounded root by one grid
+# step before levy_metric falls back to the bisection.
+_ROOT_ROUNDS = 4
 
 
 class TestFn(NamedTuple):
@@ -229,15 +235,18 @@ class _StepCdf:
 
 
 class _TableCdf:
-    """A Density's CDF as the piecewise-linear interpolant of its knot table
-    (Density._cdf_table): exact at about 2^13 knots, 0 before the first and
-    1 after the last.  The corridor reads it rather than the panel
+    """A Density's CDF H as the piecewise-linear interpolant of its knot
+    table (Density._cdf_table): exact at about 2^13 knots, 0 before the
+    first and 1 after the last.  The corridor reads it rather than the panel
     polynomials, which would cost several times more on its many small
-    arrays."""
+    arrays.  Since y + H(y) is piecewise linear and increasing, one
+    interpolation on the knots (x + H(x), x) inverts it: that is how
+    levy_metric finds each atom's root against a Density."""
 
     continuous = True
 
     def __init__(self, d: Density):
+        self.density = d
         self.xs, self.cum, _ = d._cdf_table
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -248,6 +257,16 @@ class _TableCdf:
     @property
     def breakpoints(self) -> np.ndarray:
         return self.xs
+
+    def shifted_inverse(self, z: np.ndarray) -> np.ndarray:
+        """The y with y + H(y) = z for each z, read off the knots; past
+        either end H is constant, so y + H(y) has slope 1 there, and a z
+        inside a jump of H maps to the jump's point."""
+        sums, _ = self.density._root_table
+        xs = self.xs
+        y = np.interp(z, sums, xs)
+        y = np.where(z < sums[0], np.minimum(z, xs[0]), y)
+        return np.where(z > sums[-1], np.maximum(z - 1.0, xs[-1]), y)
 
 
 def _cdf_evaluator(mu: Dist):
@@ -260,31 +279,79 @@ class _CorridorTerm(NamedTuple):
     """One corridor term over points x: c - H(x + eps) for sign +1, and
     H(x - eps) - c for sign -1, with H a nondecreasing CDF evaluator, so
     each point's value only falls as eps grows.  gap0 is its value at
-    eps = 0; only points with gap0 above the slack are kept."""
+    eps = 0; only points with gap0 above the slack are kept.  sign is a
+    float, or an array of signs, one per point."""
 
     x: np.ndarray
     c: np.ndarray
     H: Callable[[np.ndarray], np.ndarray]
-    sign: float
+    sign: float | np.ndarray
     gap0: np.ndarray
+
+    def breaks(self, eps: float | np.ndarray) -> np.ndarray:
+        """Whether each point breaks the corridor of width eps (a float, or
+        one width per point), with the arithmetic of the bisection's
+        check."""
+        bound = eps + _LEVY_SLACK
+        value = self.sign * (self.c - self.H(self.x + self.sign * eps))
+        return (self.gap0 > bound) & (value > bound)
 
 
 def _corridor_terms(A, B) -> list[_CorridorTerm]:
     """sup [A(x) - B(x+eps)] and sup [B(x-eps) - A(x)] where they are
     attained or approached over A's breakpoints x: A evaluated there, B as
-    a right value at x + eps or a left limit at x - eps."""
+    a right value at x + eps or a left limit at x - eps.  A continuous B
+    has one value at x, read once."""
     x = A.breakpoints
+    right = B.value(x)
+    left = right if B.continuous else B.left(x)
     terms = []
-    for c, H, sign in ((A.value(x), B.value, 1.0), (A.left(x), B.left, -1.0)):
-        gap0 = sign * (c - H(x))
+    for c, H, h, sign in ((A.value(x), B.value, right, 1.0), (A.left(x), B.left, left, -1.0)):
+        gap0 = sign * (c - h)
         keep = gap0 > _LEVY_SLACK
         terms.append(_CorridorTerm(x[keep], c[keep], H, sign, gap0[keep]))
     return terms
 
 
+def _atom_roots(terms: list[_CorridorTerm], G: _TableCdf, tol: float) -> float | None:
+    """The bisection's answer for atoms against a Density, from one root
+    per atom, or None when the roots do not settle.
+
+    With y = x + eps, the + term's condition c - H(x + eps) <= eps + slack
+    reads y + H(y) >= x + c - slack, and with y = x - eps the - term's
+    H(x - eps) - c <= eps + slack reads y + H(y) <= x + c + slack, so each
+    atom's root is one G.shifted_inverse.  A root lies in [gap0 / (1 + L),
+    gap0], L the largest slope of H, so an atom whose gap0 is at most the
+    largest gap0 over 1 + L (less two grid steps and the slack) cannot bind
+    and is dropped.  Each remaining root is rounded up to the bisection's
+    grid g and stepped, one grid step per round, until the corridor holds
+    at j*g and breaks at (j - 1)*g, checked with the bisection's own
+    arithmetic; the largest j*g is the bisection's answer."""
+    x = np.concatenate([t.x for t in terms])
+    c = np.concatenate([t.c for t in terms])
+    sign = np.concatenate([np.full(t.x.size, t.sign) for t in terms])
+    gap0 = np.concatenate([t.gap0 for t in terms])
+    g = min(math.ldexp(0.5, math.frexp(tol)[1]), 1.0)  # the bisection's last bracket width
+    _, slope = G.density._root_table
+    keep = gap0 > (gap0.max() - _LEVY_SLACK) / (1.0 + slope) - 2.0 * g - _LEVY_SLACK
+    term = _CorridorTerm(x[keep], c[keep], G.value, sign[keep], gap0[keep])
+    y = G.shifted_inverse(term.x + term.c - term.sign * _LEVY_SLACK)
+    j = np.clip(np.ceil(term.sign * (y - term.x) / g), 1.0, 1.0 / g)
+    for _ in range(_ROOT_ROUNDS):
+        up = term.breaks(j * g)
+        down = ~term.breaks((j - 1.0) * g)
+        if not (up.any() or down.any()):
+            return min(float(j.max()) * g, 1.0)
+        j += up
+        j -= down
+    return None
+
+
 def levy_metric(mu: Dist, nu: Dist, tol: float = 1e-4) -> float:
     """Levy metric: inf{eps > 0 : F(x-eps)-eps <= G(x) <= F(x+eps)+eps for
-    all x}, located by bisection on eps to within tol.
+    all x}, located to within tol: the first point at or above it of the
+    grid of width g, g the first power of two at or below tol.  tol below
+    2^-52, the finest grid that is exact on [0, 1], raises ValueError.
 
     The corridor condition between two right-continuous CDFs is checked on
     the candidate set where the supremum of the violation can occur: the
@@ -294,17 +361,32 @@ def levy_metric(mu: Dist, nu: Dist, tol: float = 1e-4) -> float:
     at a breakpoint of the continuous side never exceeds the atom-side term
     at the first atom beyond it.  And every term only falls as eps grows, so
     a point whose eps = 0 gap is within eps (plus a 1e-12 slack) cannot
-    break the corridor at eps or any wider one and is not evaluated.
+    break the corridor at eps or any wider one.
+
+    Atoms against a Density (every CLT row) solve each atom's corridor
+    condition on the Density's knot table and round the root up to the
+    grid (_atom_roots).  Other pairs, and atoms whose rounded roots do not
+    settle, bisect on eps, skipping the points that can no longer break the
+    corridor; both give the same float.
     """
     _require_dist(mu)
     _require_dist(nu)
     _check_tol(tol)
+    if tol < _LEVY_FINEST_TOL:
+        raise ValueError(f"levy_metric tolerance {tol!r} is below 2**-52, "
+                         "the finest bisection grid exact on [0, 1]")
     F = _cdf_evaluator(mu)
     G = _cdf_evaluator(nu)
     sides = [(G, F), (F, G)]
     if F.continuous != G.continuous:
         sides = [(A, B) for A, B in sides if not A.continuous]
     terms = [t for A, B in sides for t in _corridor_terms(A, B)]
+    if not any(t.x.size for t in terms):  # ok(0.0): no point has a gap
+        return 0.0
+    if len(sides) == 1:
+        eps = _atom_roots(terms, sides[0][1], tol)
+        if eps is not None:
+            return eps
 
     def ok(eps: float) -> bool:
         bound = eps + _LEVY_SLACK
@@ -314,8 +396,6 @@ def levy_metric(mu: Dist, nu: Dist, tol: float = 1e-4) -> float:
                 return False
         return True
 
-    if not any(t.x.size for t in terms):  # ok(0.0): no point has a gap
-        return 0.0
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -1,10 +1,12 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cltlab.clt import center
+from cltlab import weak_convergence
+from cltlab.clt import _mc_normalized_sum, center
 from cltlab.distributions import (
     Density,
     Discrete,
@@ -14,6 +16,7 @@ from cltlab.distributions import (
     iid_sum_normalized,
     normal,
     point_mass,
+    quantile,
     rademacher,
     standard_normal,
 )
@@ -394,6 +397,129 @@ class TestLevyAgainstFourTerms:
         assert v == _four_term_levy(mu, N, tol)
         assert levy_metric(N, mu, tol) == _four_term_levy(N, mu, tol)
         assert abs(v - 0.2) <= tol + 1e-9
+
+
+ROOT_TOLS = [1e-2, 1e-4, 1e-6, 1e-9, 2.0 ** -52]
+ROOT_BASES = {
+    "coin": (rademacher, (1, 4, 64, 1024, 10_000)),
+    "die": (lambda: center(fair_die()), (1, 4, 64, 1024, 10_000)),
+    "skewed": (lambda: center(Discrete(np.array([0.0, 1.0, 2.0]), np.array([0.6, 0.3, 0.1]))),
+               (1, 4, 64, 1024, 10_000)),
+    "nonlattice": (lambda: center(Discrete(np.array([0.0, 1.0, 1.0 + math.sqrt(2.0)]),
+                                           np.array([0.5, 0.3, 0.2]))),
+                   (1, 4, 64, 128)),
+}
+
+
+@lru_cache(maxsize=None)
+def _exact_row(name, n):
+    return iid_sum_normalized(ROOT_BASES[name][0](), n)
+
+
+def _root_calls(monkeypatch):
+    """Record what every _atom_roots call returns."""
+    results = []
+    solve = weak_convergence._atom_roots
+
+    def spy(*args):
+        results.append(solve(*args))
+        return results[-1]
+
+    monkeypatch.setattr(weak_convergence, "_atom_roots", spy)
+    return results
+
+
+class TestAtomRoots:
+    """Atoms against a Density take per-atom roots on the knot table; each
+    value is the four-term bisection's float, in both argument orders."""
+
+    @pytest.mark.parametrize("name,n", [(name, n) for name, (_, ns) in ROOT_BASES.items()
+                                        for n in ns])
+    def test_exact_rows(self, name, n, monkeypatch):
+        mu, N = _exact_row(name, n), standard_normal()
+        roots = _root_calls(monkeypatch)
+        for tol in ROOT_TOLS:
+            expected = _four_term_levy(mu, N, tol)
+            assert levy_metric(mu, N, tol) == expected
+            assert levy_metric(N, mu, tol) == _four_term_levy(N, mu, tol) == expected
+        assert len(roots) == 2 * len(ROOT_TOLS) and None not in roots
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_monte_carlo_rows(self, n, monkeypatch):
+        mu, N = _mc_normalized_sum(center(fair_die()), n, 20_000, 0), standard_normal()
+        assert isinstance(mu, Empirical)
+        roots = _root_calls(monkeypatch)
+        for tol in ROOT_TOLS:
+            assert levy_metric(mu, N, tol) == _four_term_levy(mu, N, tol)
+            assert levy_metric(N, mu, tol) == _four_term_levy(N, mu, tol)
+        assert len(roots) == 2 * len(ROOT_TOLS) and None not in roots
+
+    def test_atoms_beyond_the_table(self, monkeypatch):
+        # the binding atoms sit past both ends of the normal's knot table
+        # (+-32), where y + H(y) has slope 1; their roots settle there too,
+        # except at 2^-52, whose grid step is 1/32 of the float spacing at
+        # +-40: x +- eps moves in jumps of 32 steps, and the bisection runs
+        core = iid_sum_normalized(rademacher(), 16)
+        mu = Discrete(np.concatenate([[-40.0], core.points, [40.0]]),
+                      np.concatenate([[0.15], 0.7 * core.weights, [0.15]]))
+        N = standard_normal()
+        roots = _root_calls(monkeypatch)
+        for tol in ROOT_TOLS:
+            assert levy_metric(mu, N, tol) == _four_term_levy(mu, N, tol)
+        assert len(roots) == len(ROOT_TOLS) and None not in roots[:-1] and roots[-1] is None
+
+    @pytest.mark.parametrize("points,weights", [
+        ([-1.0, -0.5, -0.1, 1.8], [0.12, 0.2, 0.36, 0.32]),
+        ([-1.75, -0.55, 1.65, 2.45], [1 / 6, 5 / 18, 7 / 18, 1 / 6]),
+        ([-0.85, -0.5, 0.1, 1.0], [1 / 23, 6 / 23, 8 / 23, 8 / 23]),
+        ([0.4, 2.0, 2.05, 2.7], [4 / 13, 3 / 13, 2 / 13, 4 / 13]),
+    ])
+    def test_roots_stepped_down(self, points, weights, monkeypatch):
+        # at 2^-52 some rounded roots land a grid step above where the
+        # corridor first holds and must be stepped down
+        mu, N = Discrete(np.array(points), np.array(weights)), standard_normal()
+        roots = _root_calls(monkeypatch)
+        tol = 2.0 ** -52
+        assert levy_metric(mu, N, tol) == _four_term_levy(mu, N, tol)
+        assert None not in roots
+
+    @pytest.mark.parametrize("tol", [1e-4, 2.0 ** -52])
+    def test_fallback_without_rounds(self, tol, monkeypatch):
+        mu, N = _exact_row("die", 64), standard_normal()
+        monkeypatch.setattr(weak_convergence, "_ROOT_ROUNDS", 0)
+        roots = _root_calls(monkeypatch)
+        assert levy_metric(mu, N, tol) == _four_term_levy(mu, N, tol)
+        assert roots == [None]
+
+    def test_root_table_built_on_first_levy_metric(self):
+        d, _ = counting_normal()
+        cdf(d, 0.5)
+        quantile(d, 0.3)
+        assert "_root_table" not in vars(d)
+        levy_metric(d, standard_normal())  # Density against Density: bisection only
+        assert "_root_table" not in vars(d)
+        v = levy_metric(iid_sum_normalized(rademacher(), 4), d)
+        sums, slope = vars(d)["_root_table"]
+        xs, cum, _ = d._cdf_table
+        assert np.array_equal(sums, xs + cum) and np.all(np.diff(sums) > 0.0)
+        assert abs(slope - 1.0 / math.sqrt(2.0 * math.pi)) < 1e-6
+        assert v == levy_metric(iid_sum_normalized(rademacher(), 4), standard_normal())
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-300, math.nextafter(2.0 ** -52, 0.0)])
+    def test_tol_below_float_grid_rejected(self, tol):
+        # below 2^-52 the bisection's bracket midpoint rounds onto an end,
+        # so the bracket stops shrinking and the loop would never end
+        row = iid_sum_normalized(rademacher(), 4)
+        for mu, nu in [(row, standard_normal()), (standard_normal(), row),
+                       (row, rademacher()), (standard_normal(), _laplace())]:
+            with pytest.raises(ValueError, match=repr(tol)):
+                levy_metric(mu, nu, tol)
+
+    def test_finest_tol_is_the_bisection_value(self):
+        row = iid_sum_normalized(rademacher(), 4)
+        tol = 2.0 ** -52
+        for mu, nu in [(row, standard_normal()), (row, rademacher())]:
+            assert levy_metric(mu, nu, tol) == _four_term_levy(mu, nu, tol)
 
 
 class TestUniformDensityLimit:
