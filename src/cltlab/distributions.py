@@ -349,15 +349,14 @@ class Density:
         return xs, cum, pdf
 
     @cached_property
-    def _root_table(self) -> tuple[np.ndarray, float]:
-        """x + F(x) at each knot of _cdf_table, increasing, and the largest
-        slope of F's linear interpolant between knots: levy_metric inverts
-        y -> y + F(y) on it (built on its first call; read-only, cached and
-        shared)."""
+    def _root_table(self) -> np.ndarray:
+        """x + F(x) at each knot of _cdf_table, increasing: levy_metric
+        inverts y -> y + F(y) on it to guess where its search starts (built
+        on its first call; read-only, cached and shared)."""
         xs, cum, _ = self._cdf_table
         sums = xs + cum
         sums.flags.writeable = False
-        return sums, float(np.max(np.diff(cum) / np.diff(xs)))
+        return sums
 
     def _window(self) -> tuple[float, float]:
         """The support, each infinite end moved in to leave 1e-12 beyond:

@@ -30,12 +30,8 @@ from .errors import AtomOnGridError
 from .numerics import _check_tol
 
 _LEVY_SLACK = 1e-12
-# The finest bisection grid whose points are all exact floats on [0, 1]:
-# below it the bracket's midpoint rounds onto an end and never narrows.
+# The finest grid of eps whose points are all exact floats on [0, 1].
 _LEVY_FINEST_TOL = 2.0 ** -52
-# Rounds of exact checks that may step an atom's rounded root by one grid
-# step before levy_metric falls back to the bisection.
-_ROOT_ROUNDS = 4
 
 
 class TestFn(NamedTuple):
@@ -233,6 +229,17 @@ class _StepCdf:
     def breakpoints(self) -> np.ndarray:
         return self.points
 
+    def at_breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """value and left at the atoms, bit for bit, without a search."""
+        return self.cum, np.concatenate([[0.0], self.cum[:-1]])
+
+    def shifted_inverse(self, z: np.ndarray) -> np.ndarray:
+        """The y with y + F(y) = z for each z, read off the knots (p + F(p-),
+        p) and (p + F(p), p) of every atom p."""
+        right, left = self.at_breakpoints()
+        sums = np.stack([self.points + left, self.points + right], axis=1).ravel()
+        return _shifted_inverse(z, sums, np.repeat(self.points, 2))
+
 
 class _TableCdf:
     """A Density's CDF H as the piecewise-linear interpolant of its knot
@@ -240,8 +247,7 @@ class _TableCdf:
     first and 1 after the last.  The corridor reads it rather than the panel
     polynomials, which would cost several times more on its many small
     arrays.  Since y + H(y) is piecewise linear and increasing, one
-    interpolation on the knots (x + H(x), x) inverts it: that is how
-    levy_metric finds each atom's root against a Density."""
+    interpolation on the knots (x + H(x), x) inverts it."""
 
     continuous = True
 
@@ -258,15 +264,22 @@ class _TableCdf:
     def breakpoints(self) -> np.ndarray:
         return self.xs
 
+    def at_breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """value and left at the knots: the table's values, bit for bit."""
+        return self.cum, self.cum
+
     def shifted_inverse(self, z: np.ndarray) -> np.ndarray:
-        """The y with y + H(y) = z for each z, read off the knots; past
-        either end H is constant, so y + H(y) has slope 1 there, and a z
-        inside a jump of H maps to the jump's point."""
-        sums, _ = self.density._root_table
-        xs = self.xs
-        y = np.interp(z, sums, xs)
-        y = np.where(z < sums[0], np.minimum(z, xs[0]), y)
-        return np.where(z > sums[-1], np.maximum(z - 1.0, xs[-1]), y)
+        """The y with y + H(y) = z for each z, read off the knots."""
+        return _shifted_inverse(z, self.density._root_table, self.xs)
+
+
+def _shifted_inverse(z: np.ndarray, sums: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The y with y + H(y) = z for each z, y + H(y) linear between the knots
+    (sums, ys): past either end H is constant, so y + H(y) has slope 1
+    there, and a z inside a jump of H maps to the jump's point."""
+    y = np.interp(z, sums, ys)
+    y = np.where(z < sums[0], np.minimum(z, ys[0]), y)
+    return np.where(z > sums[-1], np.maximum(z - 1.0, ys[-1]), y)
 
 
 def _cdf_evaluator(mu: Dist):
@@ -276,75 +289,57 @@ def _cdf_evaluator(mu: Dist):
 
 
 class _CorridorTerm(NamedTuple):
-    """One corridor term over points x: c - H(x + eps) for sign +1, and
-    H(x - eps) - c for sign -1, with H a nondecreasing CDF evaluator, so
-    each point's value only falls as eps grows.  gap0 is its value at
-    eps = 0; only points with gap0 above the slack are kept.  sign is a
-    float, or an array of signs, one per point."""
+    """One corridor term over points x: sign * (c - H(x + sign * eps)), with
+    sign +1 or -1 per point and H a nondecreasing CDF evaluator, so each
+    point's value only falls as eps grows from gap0, its value at eps = 0.
+    inverse is the evaluator's shifted_inverse."""
 
     x: np.ndarray
     c: np.ndarray
     H: Callable[[np.ndarray], np.ndarray]
-    sign: float | np.ndarray
+    inverse: Callable[[np.ndarray], np.ndarray]
+    sign: np.ndarray
     gap0: np.ndarray
 
-    def breaks(self, eps: float | np.ndarray) -> np.ndarray:
-        """Whether each point breaks the corridor of width eps (a float, or
-        one width per point), with the arithmetic of the bisection's
-        check."""
-        bound = eps + _LEVY_SLACK
-        value = self.sign * (self.c - self.H(self.x + self.sign * eps))
-        return (self.gap0 > bound) & (value > bound)
+    def beyond(self, floor: float) -> "_CorridorTerm":
+        """The points whose gap0 exceeds floor: no other point can break
+        the corridor at an eps of floor or more."""
+        keep = self.gap0 > floor
+        return self._replace(x=self.x[keep], c=self.c[keep], sign=self.sign[keep],
+                             gap0=self.gap0[keep])
+
+    def roots(self, at=slice(None)) -> np.ndarray:
+        """The eps at which each point (of those at) meets the corridor's
+        edge.  With y = x + eps the + condition c - H(x + eps) <= eps + slack
+        reads y + H(y) >= x + c - slack, and with y = x - eps the - condition
+        H(x - eps) - c <= eps + slack reads y + H(y) <= x + c + slack."""
+        x, sign = self.x[at], self.sign[at]
+        return sign * (self.inverse(x + self.c[at] - sign * _LEVY_SLACK) - x)
 
 
 def _corridor_terms(A, B) -> list[_CorridorTerm]:
     """sup [A(x) - B(x+eps)] and sup [B(x-eps) - A(x)] where they are
     attained or approached over A's breakpoints x: A evaluated there, B as
     a right value at x + eps or a left limit at x - eps.  A continuous B
-    has one value at x, read once."""
+    has one value at x, read once, and serves both signs as one term, so a
+    check interpolates it once."""
     x = A.breakpoints
-    right = B.value(x)
-    left = right if B.continuous else B.left(x)
-    terms = []
-    for c, H, h, sign in ((A.value(x), B.value, right, 1.0), (A.left(x), B.left, left, -1.0)):
-        gap0 = sign * (c - h)
-        keep = gap0 > _LEVY_SLACK
-        terms.append(_CorridorTerm(x[keep], c[keep], H, sign, gap0[keep]))
-    return terms
+    right, left = A.at_breakpoints()
+    h = B.value(x)
+    if B.continuous:
+        return [_CorridorTerm(np.concatenate([x, x]), np.concatenate([right, left]), B.value,
+                              B.shifted_inverse, np.repeat([1.0, -1.0], x.size),
+                              np.concatenate([right - h, h - left]))]
+    h_left = B.left(x)
+    return [_CorridorTerm(x, right, B.value, B.shifted_inverse, np.ones(x.size), right - h),
+            _CorridorTerm(x, left, B.left, B.shifted_inverse, -np.ones(x.size), h_left - left)]
 
 
-def _atom_roots(terms: list[_CorridorTerm], G: _TableCdf, tol: float) -> float | None:
-    """The bisection's answer for atoms against a Density, from one root
-    per atom, or None when the roots do not settle.
-
-    With y = x + eps, the + term's condition c - H(x + eps) <= eps + slack
-    reads y + H(y) >= x + c - slack, and with y = x - eps the - term's
-    H(x - eps) - c <= eps + slack reads y + H(y) <= x + c + slack, so each
-    atom's root is one G.shifted_inverse.  A root lies in [gap0 / (1 + L),
-    gap0], L the largest slope of H, so an atom whose gap0 is at most the
-    largest gap0 over 1 + L (less two grid steps and the slack) cannot bind
-    and is dropped.  Each remaining root is rounded up to the bisection's
-    grid g and stepped, one grid step per round, until the corridor holds
-    at j*g and breaks at (j - 1)*g, checked with the bisection's own
-    arithmetic; the largest j*g is the bisection's answer."""
-    x = np.concatenate([t.x for t in terms])
-    c = np.concatenate([t.c for t in terms])
-    sign = np.concatenate([np.full(t.x.size, t.sign) for t in terms])
-    gap0 = np.concatenate([t.gap0 for t in terms])
-    g = min(math.ldexp(0.5, math.frexp(tol)[1]), 1.0)  # the bisection's last bracket width
-    _, slope = G.density._root_table
-    keep = gap0 > (gap0.max() - _LEVY_SLACK) / (1.0 + slope) - 2.0 * g - _LEVY_SLACK
-    term = _CorridorTerm(x[keep], c[keep], G.value, sign[keep], gap0[keep])
-    y = G.shifted_inverse(term.x + term.c - term.sign * _LEVY_SLACK)
-    j = np.clip(np.ceil(term.sign * (y - term.x) / g), 1.0, 1.0 / g)
-    for _ in range(_ROOT_ROUNDS):
-        up = term.breaks(j * g)
-        down = ~term.breaks((j - 1.0) * g)
-        if not (up.any() or down.any()):
-            return min(float(j.max()) * g, 1.0)
-        j += up
-        j -= down
-    return None
+def _corridor_holds(terms: list[_CorridorTerm], eps: float) -> bool:
+    """Whether no point of the terms breaks the corridor of width eps."""
+    bound = eps + _LEVY_SLACK
+    return all(np.max(t.sign * (t.c - t.H(t.x + t.sign * eps))) <= bound
+               for t in terms if t.x.size)
 
 
 def levy_metric(mu: Dist, nu: Dist, tol: float = 1e-4) -> float:
@@ -363,11 +358,15 @@ def levy_metric(mu: Dist, nu: Dist, tol: float = 1e-4) -> float:
     a point whose eps = 0 gap is within eps (plus a 1e-12 slack) cannot
     break the corridor at eps or any wider one.
 
-    Atoms against a Density (every CLT row) solve each atom's corridor
-    condition on the Density's knot table and round the root up to the
-    grid (_atom_roots).  Other pairs, and atoms whose rounded roots do not
-    settle, bisect on eps, skipping the points that can no longer break the
-    corridor; both give the same float.
+    The check only gets easier as eps grows, so the answer is g times the
+    least j in [1, 1/g] at which the corridor holds at j*g: a bisection's
+    float, whatever order the checks come in.  One search serves every pair
+    of laws.  It guesses j from the largest per-point root, solved on the
+    evaluators (_CorridorTerm.roots): first the widest gap's root, then
+    those of the points whose gap exceeds it less a grid step, since a root
+    never exceeds its gap.  It steps one grid point toward the side still
+    unresolved, doubling the step each time, and bisects once a step would
+    leave the bracket.  A poor guess costs checks, never the value.
     """
     _require_dist(mu)
     _require_dist(nu)
@@ -381,26 +380,23 @@ def levy_metric(mu: Dist, nu: Dist, tol: float = 1e-4) -> float:
     if F.continuous != G.continuous:
         sides = [(A, B) for A, B in sides if not A.continuous]
     terms = [t for A, B in sides for t in _corridor_terms(A, B)]
-    if not any(t.x.size for t in terms):  # ok(0.0): no point has a gap
+    widest = max(terms, key=lambda t: t.gap0.max())
+    i = int(np.argmax(widest.gap0))
+    if widest.gap0[i] <= _LEVY_SLACK:  # the corridor holds at 0
         return 0.0
-    if len(sides) == 1:
-        eps = _atom_roots(terms, sides[0][1], tol)
-        if eps is not None:
-            return eps
-
-    def ok(eps: float) -> bool:
-        bound = eps + _LEVY_SLACK
-        for x, c, H, sign, gap0 in terms:
-            live = gap0 > bound
-            if live.any() and np.max(sign * (c[live] - H(x[live] + sign * eps))) > bound:
-                return False
-        return True
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
+    g = min(math.ldexp(0.5, math.frexp(tol)[1]), 1.0)
+    root = float(widest.roots(slice(i, i + 1))[0])
+    floor = (math.ceil(root / g) - 1) * g
+    near = [t.beyond(floor) for t in terms]
+    root = max([root] + [float(t.roots().max()) for t in near if t.x.size])
+    lo, hi = 0, round(1.0 / g)  # the corridor breaks at lo*g and holds at hi*g
+    j, step = min(max(math.ceil(root / g), 1), hi), 1
+    while hi - lo > 1:
+        if _corridor_holds(near if j * g >= floor else terms, j * g):
+            hi, j = j, j - step
         else:
-            lo = mid
-    return hi
+            lo, j = j, j + step
+        step *= 2
+        if not lo < j < hi:
+            j = (lo + hi) // 2
+    return hi * g

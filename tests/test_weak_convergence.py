@@ -12,6 +12,7 @@ from cltlab.distributions import (
     Discrete,
     Empirical,
     cdf,
+    convolve,
     fair_die,
     iid_sum_normalized,
     normal,
@@ -416,57 +417,92 @@ def _exact_row(name, n):
     return iid_sum_normalized(ROOT_BASES[name][0](), n)
 
 
-def _root_calls(monkeypatch):
-    """Record what every _atom_roots call returns."""
-    results = []
-    solve = weak_convergence._atom_roots
+@pytest.fixture
+def checked_levy(monkeypatch):
+    """levy_metric returning its value and the number of corridor checks
+    the call made."""
+    count = [0]
+    holds = weak_convergence._corridor_holds
 
-    def spy(*args):
-        results.append(solve(*args))
-        return results[-1]
+    def spy(terms, eps):
+        count[0] += 1
+        return holds(terms, eps)
 
-    monkeypatch.setattr(weak_convergence, "_atom_roots", spy)
-    return results
+    monkeypatch.setattr(weak_convergence, "_corridor_holds", spy)
+
+    def call(mu, nu, tol):
+        count[0] = 0
+        return levy_metric(mu, nu, tol), count[0]
+
+    return call
+
+
+def _cauchy():
+    return Density(lambda x: 1.0 / (math.pi * (1.0 + x * x)), (-math.inf, math.inf))
+
+
+def _triangle():
+    u = Density(lambda x: 1.0, (0.0, 1.0))
+    return convolve(u, u)
+
+
+PAIR_TOLS = [1e-3, 1e-6, 2.0 ** -52]
 
 
 class TestAtomRoots:
-    """Atoms against a Density take per-atom roots on the knot table; each
-    value is the four-term bisection's float, in both argument orders."""
+    """One search for every pair of laws, started from the largest
+    per-point root: each value is the four-term bisection's float, in both
+    argument orders, and a good start needs at most two corridor checks."""
 
     @pytest.mark.parametrize("name,n", [(name, n) for name, (_, ns) in ROOT_BASES.items()
                                         for n in ns])
-    def test_exact_rows(self, name, n, monkeypatch):
+    def test_exact_rows(self, name, n, checked_levy):
         mu, N = _exact_row(name, n), standard_normal()
-        roots = _root_calls(monkeypatch)
         for tol in ROOT_TOLS:
             expected = _four_term_levy(mu, N, tol)
-            assert levy_metric(mu, N, tol) == expected
-            assert levy_metric(N, mu, tol) == _four_term_levy(N, mu, tol) == expected
-        assert len(roots) == 2 * len(ROOT_TOLS) and None not in roots
+            assert _four_term_levy(N, mu, tol) == expected
+            for a, b in [(mu, N), (N, mu)]:
+                v, checks = checked_levy(a, b, tol)
+                assert v == expected and checks <= 2
 
     @pytest.mark.parametrize("n", [16, 256])
-    def test_monte_carlo_rows(self, n, monkeypatch):
+    def test_monte_carlo_rows(self, n, checked_levy):
         mu, N = _mc_normalized_sum(center(fair_die()), n, 20_000, 0), standard_normal()
         assert isinstance(mu, Empirical)
-        roots = _root_calls(monkeypatch)
         for tol in ROOT_TOLS:
-            assert levy_metric(mu, N, tol) == _four_term_levy(mu, N, tol)
-            assert levy_metric(N, mu, tol) == _four_term_levy(N, mu, tol)
-        assert len(roots) == 2 * len(ROOT_TOLS) and None not in roots
+            for a, b in [(mu, N), (N, mu)]:
+                v, checks = checked_levy(a, b, tol)
+                assert v == _four_term_levy(a, b, tol) and checks <= 2
 
-    def test_atoms_beyond_the_table(self, monkeypatch):
+    @pytest.mark.parametrize("a,b", [(_cauchy(), standard_normal()),
+                                     (_triangle(), standard_normal()),
+                                     (_laplace(), normal(0.5, 4.0))],
+                             ids=["cauchy-normal", "triangle-normal", "laplace-normal"])
+    def test_density_pairs(self, a, b, checked_levy):
+        for tol in PAIR_TOLS:
+            for mu, nu in [(a, b), (b, a)]:
+                v, checks = checked_levy(mu, nu, tol)
+                assert v == _four_term_levy(mu, nu, tol) and checks <= 2
+
+    def test_discrete_pairs(self, checked_levy):
+        a, b = _exact_row("coin", 1024), _exact_row("die", 64)
+        for tol in PAIR_TOLS:
+            for mu, nu in [(a, b), (b, a)]:
+                v, checks = checked_levy(mu, nu, tol)
+                assert v == _four_term_levy(mu, nu, tol) and checks <= 2
+
+    def test_atoms_beyond_the_table(self):
         # the binding atoms sit past both ends of the normal's knot table
-        # (+-32), where y + H(y) has slope 1; their roots settle there too,
-        # except at 2^-52, whose grid step is 1/32 of the float spacing at
-        # +-40: x +- eps moves in jumps of 32 steps, and the bisection runs
+        # (+-32), where y + H(y) has slope 1; at 2^-52 the grid step is 1/32
+        # of the float spacing at +-40, so x +- eps moves in jumps of 32
+        # steps and the search walks from its guess
         core = iid_sum_normalized(rademacher(), 16)
         mu = Discrete(np.concatenate([[-40.0], core.points, [40.0]]),
                       np.concatenate([[0.15], 0.7 * core.weights, [0.15]]))
         N = standard_normal()
-        roots = _root_calls(monkeypatch)
         for tol in ROOT_TOLS:
             assert levy_metric(mu, N, tol) == _four_term_levy(mu, N, tol)
-        assert len(roots) == len(ROOT_TOLS) and None not in roots[:-1] and roots[-1] is None
+            assert levy_metric(N, mu, tol) == _four_term_levy(N, mu, tol)
 
     @pytest.mark.parametrize("points,weights", [
         ([-1.0, -0.5, -0.1, 1.8], [0.12, 0.2, 0.36, 0.32]),
@@ -474,36 +510,36 @@ class TestAtomRoots:
         ([-0.85, -0.5, 0.1, 1.0], [1 / 23, 6 / 23, 8 / 23, 8 / 23]),
         ([0.4, 2.0, 2.05, 2.7], [4 / 13, 3 / 13, 2 / 13, 4 / 13]),
     ])
-    def test_roots_stepped_down(self, points, weights, monkeypatch):
+    def test_roots_stepped_down(self, points, weights):
         # at 2^-52 some rounded roots land a grid step above where the
-        # corridor first holds and must be stepped down
+        # corridor first holds, and the search must step down
         mu, N = Discrete(np.array(points), np.array(weights)), standard_normal()
-        roots = _root_calls(monkeypatch)
         tol = 2.0 ** -52
         assert levy_metric(mu, N, tol) == _four_term_levy(mu, N, tol)
-        assert None not in roots
 
     @pytest.mark.parametrize("tol", [1e-4, 2.0 ** -52])
-    def test_fallback_without_rounds(self, tol, monkeypatch):
-        mu, N = _exact_row("die", 64), standard_normal()
-        monkeypatch.setattr(weak_convergence, "_ROOT_ROUNDS", 0)
-        roots = _root_calls(monkeypatch)
-        assert levy_metric(mu, N, tol) == _four_term_levy(mu, N, tol)
-        assert roots == [None]
+    def test_worst_guesses(self, tol, monkeypatch):
+        # every root read as 0 starts the search at j = 1, every root read
+        # as 1 at j = 1/g: the value stays the bisection's
+        pairs = [(_exact_row("die", 64), standard_normal()), (_laplace(), normal(0.5, 4.0)),
+                 (_exact_row("coin", 64), _exact_row("die", 4))]
+        for root in (0.0, 1.0):
+            monkeypatch.setattr(weak_convergence._CorridorTerm, "roots",
+                                lambda self, at=slice(None), root=root: np.full(self.x[at].size, root))
+            for a, b in pairs:
+                assert levy_metric(a, b, tol) == _four_term_levy(a, b, tol)
+                assert levy_metric(b, a, tol) == _four_term_levy(b, a, tol)
 
     def test_root_table_built_on_first_levy_metric(self):
         d, _ = counting_normal()
         cdf(d, 0.5)
         quantile(d, 0.3)
         assert "_root_table" not in vars(d)
-        levy_metric(d, standard_normal())  # Density against Density: bisection only
-        assert "_root_table" not in vars(d)
-        v = levy_metric(iid_sum_normalized(rademacher(), 4), d)
-        sums, slope = vars(d)["_root_table"]
+        v = levy_metric(d, _laplace())
+        sums = vars(d)["_root_table"]
         xs, cum, _ = d._cdf_table
         assert np.array_equal(sums, xs + cum) and np.all(np.diff(sums) > 0.0)
-        assert abs(slope - 1.0 / math.sqrt(2.0 * math.pi)) < 1e-6
-        assert v == levy_metric(iid_sum_normalized(rademacher(), 4), standard_normal())
+        assert v == levy_metric(standard_normal(), _laplace())
 
     @pytest.mark.parametrize("tol", [1e-17, 1e-300, math.nextafter(2.0 ** -52, 0.0)])
     def test_tol_below_float_grid_rejected(self, tol):
