@@ -479,10 +479,14 @@ class TestAtomRoots:
                                      (_laplace(), normal(0.5, 4.0))],
                              ids=["cauchy-normal", "triangle-normal", "laplace-normal"])
     def test_density_pairs(self, a, b, checked_levy):
+        # at 2^-52 the grid step is below the float spacing of every knot
+        # beyond +-1, so x +- eps moves in jumps of several steps and a
+        # rounded root can land a step above the answer: no bound on checks
         for tol in PAIR_TOLS:
             for mu, nu in [(a, b), (b, a)]:
                 v, checks = checked_levy(mu, nu, tol)
-                assert v == _four_term_levy(mu, nu, tol) and checks <= 2
+                assert v == _four_term_levy(mu, nu, tol)
+                assert checks <= 2 or tol == 2.0 ** -52
 
     def test_discrete_pairs(self, checked_levy):
         a, b = _exact_row("coin", 1024), _exact_row("die", 64)
