@@ -269,9 +269,11 @@ class Density:
     @cached_property
     def _node_store(self) -> dict:
         """pdf values at the GK15 nodes of panels, keyed by (left, right):
-        the partition's panels and those charfun bisects, kept only from
-        calls that converge (see _node_values and _keep_nodes)."""
-        return {}
+        the partition's panels, read as its sweep evaluated them, and those
+        charfun bisects, kept only from calls that converge (see
+        _node_values and _keep_nodes)."""
+        edges, _, nodes = self._partition
+        return dict(zip(zip(edges[:-1].tolist(), edges[1:].tolist()), nodes))
 
     def _node_values(self, a: np.ndarray, b: np.ndarray, fresh: dict) -> np.ndarray:
         """The pdf at the GK15 nodes of the panels (a_i, b_i), one row each:

@@ -20,6 +20,7 @@ from cltlab.distributions import (
     Density,
     Discrete,
     Empirical,
+    cdf,
     convolve,
     fair_die,
     normal,
@@ -137,6 +138,26 @@ class TestDensityCharfun:
         # the partition build included; one quadrature from scratch per t
         # spends this many on a single t
         assert len(calls) <= 1260
+
+    def test_first_charfun_reads_the_partition_nodes(self):
+        # the partition's sweep already evaluated the pdf at every node of
+        # its panels, which are the panels charfun's first round reads
+        calls = []
+
+        def pdf(x):
+            calls.append(x)
+            return normal_density(x)
+
+        d = Density(pdf, (-math.inf, math.inf))
+        cdf(d, 0.5)
+        calls.clear()
+        value = charfun(d, 1e-3)
+        assert calls == []
+        fresh = Density(normal_density, (-math.inf, math.inf))
+        vars(fresh)["_node_store"] = {}  # every node value evaluated anew
+        for t in (1e-3, 0.7, 4.0, -9.5):
+            assert charfun(d, t) == charfun(fresh, t)
+        assert value == charfun(fresh, 1e-3)
 
     def test_cauchy_converges_or_fails_loudly(self):
         d = Density(lambda x: 1.0 / (math.pi * (1.0 + x * x)), (-math.inf, math.inf))
