@@ -22,7 +22,7 @@ from .distributions import (
     _PARTITION_TAIL, Density, Discrete, Dist, _require_dist, mean, variance,
 )
 from .errors import NonConvergenceError
-from .numerics import DEFAULT_TOL, _batched_rounds, _check_tol, _gk15_nodes, integrate
+from .numerics import DEFAULT_TOL, _batched_rounds, _check_tol, _gk15_nodes, _sweep
 from .weak_convergence import integral_against
 
 _T_START = 64.0
@@ -72,12 +72,13 @@ def _density_charfun(mu: Density, t: float, tol: float) -> complex:
     fresh = {}
     value = complex(_batched_rounds(lambda a, b: mu._node_values(a, b, fresh),
                                     lambda x: np.exp(1j * t * x), edges, tol - tail)[0])
-    mu._keep_nodes(fresh)
     if swept:
-        pdf = mu.pdf
+        def waves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return np.exp(1j * t * _gk15_nodes(a, b)) * mu._node_values(a, b, fresh)
+
         for x, y in ends:
-            value += complex(integrate(lambda u: math.cos(t * u) * pdf(u), x, y, tol / 8.0),
-                             integrate(lambda u: math.sin(t * u) * pdf(u), x, y, tol / 8.0))
+            value += _sweep(waves, x, y, 0.25 * tol)[0]
+    mu._keep_nodes(fresh)
     return value
 
 

@@ -14,13 +14,13 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from .errors import NonConvergenceError, SizeLimitError
-from .numerics import _MAX_PANELS, _f_at_nodes, _gk15_antiderivative, _sweep
+from .numerics import _MAX_PANELS, _f_at_nodes, _gk15_antiderivative, _gk15_nodes, _sweep
 
 _WEIGHT_SUM_TOL = 1e-12
 _MERGE_TOL = 1e-12
@@ -227,41 +227,27 @@ class Density:
         if not (0.0 < self.mass_tol < 1.0):
             raise ValueError("mass_tol must lie in (0, 1)")
         object.__setattr__(self, "support", (lo, hi))
-        sweep_lo = max(lo, -32.0)
-        sweep_hi = min(hi, 32.0)
-        if sweep_lo < sweep_hi:
-            for x in np.linspace(sweep_lo, sweep_hi, 65):
-                if float(self.pdf(float(x))) < -1e-9:
-                    raise ValueError(f"density is negative near x={float(x):.6g}")
-        mass = _sweep(self.pdf, lo, hi, self.mass_tol / 4.0, min_mass=_SWEPT_MASS)[0]
-        if abs(mass - 1.0) > self.mass_tol:
-            raise ValueError(f"density mass {mass!r} deviates from 1 beyond mass_tol")
-
-    # breakpoints the partition's sweep starts from: set by convolve, which
-    # knows where its piecewise-linear pdf bends
-    _kinks = None
+        edges, mass, nodes = self._partition
+        bad = np.flatnonzero(nodes < -1e-9)
+        if bad.size:
+            x = float(_gk15_nodes(edges[:-1], edges[1:]).ravel()[bad[0]])
+            raise ValueError(f"density is negative near x={x:.6g}")
+        if abs(mass[-1] - 1.0) > self.mass_tol:
+            raise ValueError(f"density mass {float(mass[-1])!r} deviates from 1 beyond mass_tol")
 
     @cached_property
     def _partition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Panel edges of one sweep of the pdf at the cdf tolerance, the mass
         up to each edge and the pdf at the GK15 nodes of each panel, one row
         per panel, as the sweep read them (read-only: cached and shared)."""
-        seen = []
-
-        def values(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-            fx = _f_at_nodes(self.pdf, pa, pb)
-            seen.append((pa, pb, fx))
-            return fx
-
-        _, panels = _sweep(self.pdf, *self.support, _CDF_TOL, self._kinks, min_mass=_SWEPT_MASS,
-                           values=values)
+        store = self._node_store
+        _, panels = _sweep(partial(self._node_values, fresh=store), *self.support, _CDF_TOL,
+                           getattr(self.pdf, "_kinks", None), min_mass=_SWEPT_MASS)
         a, b, v = (np.concatenate(column) for column in zip(*panels))
         order = np.argsort(a)
         edges = np.concatenate([a[order[:1]], b[order]])
         mass = np.concatenate([[0.0], np.cumsum(v[order])])
-        sa, sb, fx = (np.concatenate(column) for column in zip(*seen))
-        row = dict(zip(zip(sa.tolist(), sb.tolist()), range(sa.size)))
-        nodes = fx[[row[k] for k in zip(a[order].tolist(), b[order].tolist())]]
+        nodes = self._node_values(a[order], b[order], store)
         for column in (edges, mass, nodes):
             column.flags.writeable = False
         return edges, mass, nodes
@@ -272,8 +258,7 @@ class Density:
         the partition's panels, read as its sweep evaluated them, and those
         charfun bisects, kept only from calls that converge (see
         _node_values and _keep_nodes)."""
-        edges, _, nodes = self._partition
-        return dict(zip(zip(edges[:-1].tolist(), edges[1:].tolist()), nodes))
+        return {}
 
     def _node_values(self, a: np.ndarray, b: np.ndarray, fresh: dict) -> np.ndarray:
         """The pdf at the GK15 nodes of the panels (a_i, b_i), one row each:
@@ -302,7 +287,16 @@ class Density:
         when its shells never settle)."""
         edges, mass, _ = self._partition
         reach = float(np.abs(edges[np.searchsorted(mass, [0.25, 0.75])]).max())
-        return _sweep(lambda x: g(x) * self.pdf(x), *self.support, tol, edges, reach=reach)[0]
+        fresh = {}
+
+        def values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            fx = _f_at_nodes(g, a, b) * self._node_values(a, b, fresh)
+            # where the product is not finite, g * pdf node by node names the node
+            return fx if np.isfinite(fx).all() else _f_at_nodes(lambda x: g(x) * self.pdf(x), a, b)
+
+        value = _sweep(values, *self.support, tol, edges, reach=reach)[0]
+        self._keep_nodes(fresh)
+        return value
 
     @cached_property
     def _moments(self) -> tuple[float, float]:
@@ -664,13 +658,12 @@ def _convolve_density(a: Density, b: Density) -> Density:
     def pdf(x: float, _zs=zs, _vals=conv) -> float:
         return float(np.interp(x, _zs, _vals, left=0.0, right=0.0))
 
-    out = Density(pdf, (z0, z1), mass_tol=1e-6)
     # the pdf bends at the grid nodes whose second difference exceeds
     # rounding; starting the partition there leaves one straight piece per
     # panel, where the sweep would bisect towards every bend
     bend = np.abs(np.diff(conv, 2)) > _BEND_RTOL * float(conv.max())
-    object.__setattr__(out, "_kinks", zs[1:-1][bend])
-    return out
+    pdf._kinks = zs[1:-1][bend]
+    return Density(pdf, (z0, z1), mass_tol=1e-6)
 
 
 def convolve(mu: Dist, nu: Dist) -> Dist:

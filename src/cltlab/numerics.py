@@ -183,11 +183,11 @@ def _batched_rounds(values, weight, edges, tol: float):
         e = np.concatenate([e[rest], ce])
 
 
-def _sweep(f: Callable[[float], float], a: float, b: float, tol: float,
-           breaks=None, min_mass: float = 0.0, reach: float = 0.0,
-           values=None) -> tuple[float, list]:
-    """Integral of f over a < b and its panels, a list of (left edges, right
-    edges, values) arrays, one per piece.
+def _sweep(values, a: float, b: float, tol: float, breaks=None, min_mass: float = 0.0,
+           reach: float = 0.0) -> tuple[float, list]:
+    """Integral over a < b of the integrand whose values(a, b) are its values
+    at the _gk15_nodes of the panels (a_i, b_i), and its panels, a list of
+    (left edges, right edges, values) arrays, one per piece.
 
     A finite interval is one adaptive pass.  Otherwise a core, (-16, 16) or
     (a, r) with r the first of 16, 32, ... beyond a, then shells [r, 1.5r]
@@ -201,21 +201,14 @@ def _sweep(f: Callable[[float], float], a: float, b: float, tol: float,
     until its radius is at least reach and the mass swept (the core's |panel
     values| plus each shell piece's |value|) at least min_mass, returning the
     value when that mass has not shown up within _MAX_SHELLS shells.
-
-    values, when given, stands in for _f_at_nodes(f, a, b) as the source of
-    f at the nodes of the panels (a_i, b_i), so a caller can record them.
     """
     if math.isinf(a) and not math.isinf(b):
         # the nodes of (-b_i, -a_i) are those of (a_i, b_i) negated, in
         # reverse order and bit for bit
-        flipped = None if values is None else (lambda pa, pb: values(-pb, -pa)[:, ::-1])
-        value, panels = _sweep(lambda x: f(-x), -b, -a, tol,
-                               None if breaks is None else -breaks[::-1], min_mass, reach,
-                               flipped)
+        value, panels = _sweep(lambda pa, pb: values(-pb, -pa)[:, ::-1], -b, -a, tol,
+                               None if breaks is None else -breaks[::-1], min_mass, reach)
         return value, [(-pb, -pa, pv) for pa, pb, pv in panels]
     panels = []
-    if values is None:
-        values = partial(_f_at_nodes, f)
 
     def piece(lo: float, hi: float, piece_tol: float) -> tuple[float, float]:
         edges = [lo, hi]
@@ -294,7 +287,7 @@ def integrate(f: Callable[[float], float], a: float, b: float, tol: float = DEFA
         return 0.0
     if a > b:
         return -integrate(f, b, a, tol)
-    return _sweep(f, a, b, tol)[0]
+    return _sweep(partial(_f_at_nodes, f), a, b, tol)[0]
 
 
 def integrate_complex(

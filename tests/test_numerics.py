@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from cltlab.numerics import (
     integrate_oscillatory,
     sinc,
 )
-from cltlab.numerics import _batched_rounds, _gk15_nodes, _sweep
+from cltlab.numerics import _batched_rounds, _f_at_nodes, _gk15_nodes, _sweep
 from oracles import double_factorial_moment
 
 
@@ -222,7 +223,7 @@ class TestSweep:
         exp_tail = lambda x: math.exp(-abs(x))
         for f, a, b in [(normal_pdf, -2.0, 3.0), (exp_tail, 1.0, math.inf),
                         (exp_tail, -math.inf, -1.0), (normal_pdf, -math.inf, math.inf)]:
-            value, panels = _sweep(f, a, b, 1e-10)
+            value, panels = _sweep(partial(_f_at_nodes, f), a, b, 1e-10)
             assert value == integrate(f, a, b, 1e-10)
             lefts, rights, values = (np.concatenate(column) for column in zip(*panels))
             spans = sorted(zip(lefts.tolist(), rights.tolist()))
@@ -235,7 +236,7 @@ class TestSweep:
 
     def test_breaks_seed_the_panels(self):
         breaks = np.array([-30.0, -1.0, 0.25, 3.0, 20.0])
-        value, panels = _sweep(normal_pdf, -math.inf, math.inf, 1e-10, breaks)
+        value, panels = _sweep(partial(_f_at_nodes, normal_pdf), -math.inf, math.inf, 1e-10, breaks)
         edges = set(np.concatenate([pa for pa, _, _ in panels]).tolist())
         assert set(breaks) <= edges
         assert abs(value - 1.0) <= 1e-10
@@ -245,9 +246,9 @@ class TestSweep:
         # unseeded sweep scores the whole core panel as empty; the panels of
         # the peak itself carry the seeds
         narrow = lambda x: math.exp(-0.5 * (x / 0.1) ** 2) / (0.1 * math.sqrt(2.0 * math.pi))
-        _, panels = _sweep(narrow, -math.inf, math.inf, 1e-10)
+        _, panels = _sweep(partial(_f_at_nodes, narrow), -math.inf, math.inf, 1e-10)
         edges = np.unique(np.concatenate([pa for pa, _, _ in panels]))
-        value = _sweep(lambda x: x * x * narrow(x), -math.inf, math.inf, 1e-9, edges)[0]
+        value = _sweep(partial(_f_at_nodes, lambda x: x * x * narrow(x)), -math.inf, math.inf, 1e-9, edges)[0]
         assert abs(value - 0.01) <= 1e-9
 
     def test_odd_integrand_stops_at_the_first_settled_shell(self):
@@ -257,19 +258,19 @@ class TestSweep:
             xs.append(x)
             return x * math.exp(-0.5 * x * x)
 
-        assert abs(_sweep(odd, -math.inf, math.inf, 1e-8)[0]) <= 1e-8
+        assert abs(_sweep(partial(_f_at_nodes, odd), -math.inf, math.inf, 1e-8)[0]) <= 1e-8
         # one core panel and the two shells on each side of radius 16
         assert len(xs) == 75 and max(map(abs, xs)) < 32.0
 
     def test_min_mass_or_reach_finds_mass_beyond_dead_shells(self):
         far = lambda x: normal_pdf(x - 100.0)
-        assert abs(_sweep(far, -math.inf, math.inf, 1e-10)[0]) <= 1e-10
-        value = _sweep(far, -math.inf, math.inf, 1e-10, min_mass=0.5)[0]
+        assert abs(_sweep(partial(_f_at_nodes, far), -math.inf, math.inf, 1e-10)[0]) <= 1e-10
+        value = _sweep(partial(_f_at_nodes, far), -math.inf, math.inf, 1e-10, min_mass=0.5)[0]
         assert abs(value - 1.0) <= 1e-10
         # told where the bulk lies, a sweep reaches it without a mass bound
         first = lambda x: x * far(x)
-        assert abs(_sweep(first, -math.inf, math.inf, 1e-9)[0]) <= 1e-9
-        assert abs(_sweep(first, -math.inf, math.inf, 1e-9, reach=100.0)[0] - 100.0) <= 1e-9
+        assert abs(_sweep(partial(_f_at_nodes, first), -math.inf, math.inf, 1e-9)[0]) <= 1e-9
+        assert abs(_sweep(partial(_f_at_nodes, first), -math.inf, math.inf, 1e-9, reach=100.0)[0] - 100.0) <= 1e-9
 
 
 class TestBatchedRounds:
