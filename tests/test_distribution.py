@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import signal
+from functools import partial
 import time
 
 import numpy as np
@@ -37,6 +38,7 @@ from cltlab.distributions import (
     _EPS,
     _FFT_FLOOR,
     _MAX_ATOMS,
+    _MOMENT_TOL,
     _PARTITION_TAIL,
     _binary_power,
     _convolve_discrete,
@@ -50,6 +52,7 @@ from cltlab.distributions import (
 from cltlab.charfuns import charfun
 from cltlab.clt import CltExperiment, center, run_clt
 from cltlab.errors import NonConvergenceError, SizeLimitError
+from cltlab.numerics import _f_at_nodes, _sweep
 from cltlab.weak_convergence import (
     ConvergenceProbe,
     cdf_distance,
@@ -100,6 +103,11 @@ class TestConstruction:
     def test_density_nonnegative_checked(self):
         with pytest.raises(ValueError):
             Density(math.sin, (0.0, 2.0 * math.pi))
+        # mass 1 and negative only past 32: every node of the partition is
+        # checked, and the first negative one is named
+        dip = lambda x: -0.001 if 50.0 <= x < 60.0 else 1.01 / 90.0
+        with pytest.raises(ValueError, match=r"negative near x=50\.0267"):
+            Density(dip, (0.0, 100.0))
 
     def test_density_support_ordering(self):
         with pytest.raises(ValueError):
@@ -449,6 +457,81 @@ class TestOneCdf:
         tri = convolve(u, u)
         assert tri._partition[0].size <= 4
         assert abs(cdf(tri, 0.5) - 0.125) <= 4.0 / 4095.0  # the grid's first-order error
+
+
+def _gap_pdf(x):
+    return 0.5 if 0.0 <= x <= 1.0 or 2.0 <= x <= 3.0 else 0.0
+
+
+# (pdf, support) of the laws whose pdf reads are counted
+READ_ONCE_LAWS = {
+    "normal": (normal_density, (-math.inf, math.inf)),
+    "laplace": (lambda x: 0.5 * math.exp(-abs(x)), (-math.inf, math.inf)),
+    "exp": (lambda x: math.exp(-x), (0.0, math.inf)),
+    "exp_left": (math.exp, (-math.inf, 0.0)),
+    "gap": (_gap_pdf, (0.0, 3.0)),
+    "t3": (student_t3_pdf, (-math.inf, math.inf)),
+    "n100": (lambda x: normal_density(x, 100.0), (-math.inf, math.inf)),
+}
+
+
+def _outcome(op):
+    """op()'s value, or the type of the exception it raises."""
+    try:
+        return op()
+    except Exception as exc:
+        return type(exc)
+
+
+class TestNodeStore:
+    """Every pdf value a Density reads comes from one node store: the
+    partition's sweep at construction fills it, and moments,
+    integral_against and charfun read it, evaluating only the nodes it
+    lacks."""
+
+    @pytest.mark.parametrize("name", list(READ_ONCE_LAWS))
+    def test_each_node_read_once(self, name):
+        f, support = READ_ONCE_LAWS[name]
+        xs = []
+
+        def pdf(x):
+            xs.append(x)
+            return f(x)
+
+        d = Density(pdf, support)
+        mean(d), variance(d)
+        integral_against(math.cos, d)
+        integral_against(lambda x: 1.0 / (1.0 + x * x), d)
+        for tol in (1e-8, 1e-12):
+            for t in np.linspace(-10.0, 10.0, 21).tolist():
+                charfun(d, t, tol)
+        assert len(xs) == len(set(xs))
+
+    @pytest.mark.parametrize("name", list(ONE_CDF_LAWS) + ["uniform_sum", "shift_scale"])
+    def test_integrals_match_a_sweep_of_the_product(self, name):
+        # the sweep that integrates g * pdf node by node, read against the
+        # library's product of g at the nodes with the stored pdf values
+        if name == "uniform_sum":
+            u = Density(lambda x: 1.0, (0.0, 1.0))
+            d = convolve(u, u)
+        elif name == "shift_scale":
+            d = shift_scale(laplace_density(), 0.7, -1.3)
+        else:
+            d = ONE_CDF_LAWS[name][0]()
+        edges, mass, _ = d._partition
+        reach = float(np.abs(edges[np.searchsorted(mass, [0.25, 0.75])]).max())
+
+        def swept(g, tol):
+            product = partial(_f_at_nodes, lambda x: g(x) * d.pdf(x))
+            return _sweep(product, *d.support, tol, edges, reach=reach)[0]
+
+        m = _outcome(lambda: swept(lambda x: x, _MOMENT_TOL))
+        assert _outcome(lambda: mean(d)) == m
+        if isinstance(m, float):
+            v = _outcome(lambda: swept(lambda x: (x - m) ** 2, _MOMENT_TOL))
+            assert _outcome(lambda: variance(d)) == v
+        for g in (math.cos, lambda x: 1.0 / (1.0 + x * x), math.tanh):
+            assert _outcome(lambda: integral_against(g, d)) == _outcome(lambda: swept(g, 1e-9))
 
 
 class TestNormalDensity:
