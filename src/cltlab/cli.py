@@ -2,7 +2,7 @@
 
 Subcommands: clt, charfun, invert, weakdist, integrate, space.  Every
 subcommand accepts --out; --tol is taken only by charfun, invert and
-integrate, and --seed only by clt, the subcommands that read them.  Output
+integrate, and --seed only by clt with --mc, where they are read.  Output
 is CSV or a single number on stdout unless --out names a file.  Failures
 print exactly one line, `error,<ExceptionType>,<message>`, to stderr and
 exit with status 2.
@@ -93,7 +93,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--ns", required=True, help="comma-separated sample counts, e.g. 1,4,16")
     p.add_argument("--mc", type=int, default=None, metavar="DRAWS",
                    help="Monte Carlo mode with this many draws per n")
-    p.add_argument("--seed", type=int, default=0, help="random seed for --mc")
+    p.add_argument("--seed", type=int, default=None,
+                   help="random seed for --mc (default 0); rejected without --mc")
 
     p = sub.add_parser("charfun", parents=[common, tol],
                        help="characteristic function on a t grid as CSV (t,re,im)")
@@ -125,8 +126,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_clt(args) -> str:
+    if args.seed is not None and args.mc is None:
+        raise _UsageError("--seed is read only with --mc")
     base = _dist_from(args.base)
-    exp = CltExperiment(base, _parse_ns(args.ns), seed=args.seed, mc_draws=args.mc)
+    exp = CltExperiment(base, _parse_ns(args.ns), seed=0 if args.seed is None else args.seed,
+                        mc_draws=args.mc)
     report = run_clt(exp)
     buf = io.StringIO()
     emit_csv(report, buf)

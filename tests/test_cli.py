@@ -230,7 +230,8 @@ class TestErrorHandling:
 
 
 class TestFlags:
-    """--tol and --seed exist only on the subcommands that read them."""
+    """--tol and --seed exist only where they are read: --seed on clt with
+    --mc."""
 
     @pytest.mark.parametrize("argv", [
         ("space", "--demo", "die", "--seed", "1"),
@@ -252,6 +253,13 @@ class TestFlags:
         code, out, _ = run_cli(capsys, "integrate", "--fn", "gauss_moment:2",
                                "--tol", "1e-6")
         assert code == 0 and abs(float(out) - 1.0) < 1e-6
+
+    def test_seed_without_mc_rejected(self, capsys):
+        # exact clt rows draw nothing, so a seed there would be ignored
+        code, out, err = run_cli(capsys, "clt", "--base", "preset:die", "--ns", "3",
+                                 "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == "error,UsageError,--seed is read only with --mc\n"
 
     def test_seed_kept_where_read(self, capsys):
         argv = ("clt", "--base", "preset:die", "--ns", "3", "--mc", "500")
