@@ -35,12 +35,13 @@ def charfun(mu: Dist, t: float, tol: float = DEFAULT_TOL) -> complex:
     t = 0 returns exactly 1+0j (the total mass, which every representation
     guarantees by construction).  For a Density the summed |kronrod - gauss|
     estimates over the partition's panels, bisected in batched rounds, plus
-    the partition's bound on the mass beyond its panels stay within tol (a
-    tol under twice that bound integrates the infinite ends beyond the
-    panels instead).  The panels depend only on t and tol, so the value does
-    not depend on earlier calls; the pdf values at their nodes are kept on
-    the Density (up to 60,000 panels, from calls that converge) and shared
-    by later calls.
+    the partition's bound on the mass beyond its panels stay within tol.  A
+    tol under twice that bound gives the panels tol/2 and sweeps each
+    infinite end beyond them once instead, e^{itx} times the pdf as one
+    complex integral at tol/4.  The panels depend only on t and tol, so the
+    value does not depend on earlier calls; every pdf value comes from the
+    Density's node store, which keeps the new ones (up to 60,000 panels,
+    from calls that converge) for later calls.
     NonConvergenceError when 60,000 panels do not meet tol.
     """
     _require_dist(mu)
@@ -59,7 +60,9 @@ def charfun(mu: Dist, t: float, tol: float = DEFAULT_TOL) -> complex:
 def _density_charfun(mu: Density, t: float, tol: float) -> complex:
     """phi(t) of a Density over the panels of its partition, refined in
     batched rounds; the partition's tail bound counts against tol, and when
-    it exceeds tol/2 the infinite ends beyond the panels are swept instead."""
+    it exceeds tol/2 each infinite end beyond the panels is swept once, as a
+    complex integral at tol/4.  Every pdf value comes from the Density's
+    node store, which keeps the new ones once all of them converge."""
     _check_tol(tol)
     edges = mu._partition[0]
     lo, hi = mu.support

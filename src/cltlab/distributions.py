@@ -202,18 +202,21 @@ class Discrete:
 class Density:
     """Absolutely continuous law given by a density and its support.
 
-    The density must be nonnegative and integrate to one over the support
-    within ``mass_tol`` (checked at construction by a quadrature that finds
-    mass far from the origin, but not a peak narrower than the node spacing
-    around it, such as N(1e4, 1)).  Queries read one partition of the pdf,
-    built on first use at tolerance 1e-10.  On each of its panels the
-    polynomial through the pdf at the panel's 15 Gauss-Kronrod nodes
-    integrates to the CDF, which starts from the mass up to the panel's left
-    edge; ``cdf``, ``quantile``, ``sample`` and ``levy_metric`` all read that
-    one CDF, accurate to 1e-10 over the whole support, heavy tails included
-    (within 5e-13 on the normal, Laplace, logistic and Student t3 laws).
-    ``charfun`` reweights the pdf at the same nodes.  Moments and
-    ``convolve`` raise NonConvergenceError on heavy tails.
+    Construction builds one partition of the pdf, an adaptive sweep at
+    tolerance 1e-10 that finds mass far from the origin but not a peak
+    narrower than the node spacing around it, such as N(1e4, 1), and raises
+    NonConvergenceError when that sweep does not converge.  The density must
+    be at least -1e-9 at every node of the partition (ValueError naming the
+    first node below) and its mass there must be one within ``mass_tol``.
+    On each panel the polynomial through the pdf at the panel's 15
+    Gauss-Kronrod nodes integrates to the CDF, which starts from the mass up
+    to the panel's left edge; ``cdf``, ``quantile``, ``sample`` and
+    ``levy_metric`` all read that one CDF, accurate to 1e-10 over the whole
+    support, heavy tails included (within 5e-13 on the normal, Laplace,
+    logistic and Student t3 laws).  The moments, ``integral_against`` and
+    ``charfun`` reweight the pdf at the same nodes and read it at any others
+    once, through one node store.  Moments and ``convolve`` raise
+    NonConvergenceError on heavy tails.
     """
 
     pdf: Callable[[float], float]
@@ -237,9 +240,10 @@ class Density:
 
     @cached_property
     def _partition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Panel edges of one sweep of the pdf at the cdf tolerance, the mass
-        up to each edge and the pdf at the GK15 nodes of each panel, one row
-        per panel, as the sweep read them (read-only: cached and shared)."""
+        """Panel edges of one sweep of the pdf at the cdf tolerance, started
+        from the pdf's _kinks when it has them, the mass up to each edge and
+        the pdf at the GK15 nodes of each panel, one row per panel
+        (read-only: cached and shared)."""
         store = self._node_store
         _, panels = _sweep(partial(self._node_values, fresh=store), *self.support, _CDF_TOL,
                            getattr(self.pdf, "_kinks", None), min_mass=_SWEPT_MASS)
@@ -255,9 +259,9 @@ class Density:
     @cached_property
     def _node_store(self) -> dict:
         """pdf values at the GK15 nodes of panels, keyed by (left, right):
-        the partition's panels, read as its sweep evaluated them, and those
-        charfun bisects, kept only from calls that converge (see
-        _node_values and _keep_nodes)."""
+        every panel the partition's sweep read, then those that moments,
+        integral_against and charfun read beyond them, kept only from calls
+        that converge (see _node_values and _keep_nodes)."""
         return {}
 
     def _node_values(self, a: np.ndarray, b: np.ndarray, fresh: dict) -> np.ndarray:
@@ -283,8 +287,9 @@ class Density:
 
     def _integral(self, g: Callable[[float], float], tol: float) -> float:
         """Integral of g * pdf by a sweep seeded with the partition's edges,
-        out past the middle half of the mass at least (NonConvergenceError
-        when its shells never settle)."""
+        out past the middle half of the mass at least, reading the pdf from
+        the node store (NonConvergenceError when its shells never settle,
+        ValueError where g * pdf is not finite)."""
         edges, mass, _ = self._partition
         reach = float(np.abs(edges[np.searchsorted(mass, [0.25, 0.75])]).max())
         fresh = {}

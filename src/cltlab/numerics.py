@@ -185,9 +185,10 @@ def _batched_rounds(values, weight, edges, tol: float):
 
 def _sweep(values, a: float, b: float, tol: float, breaks=None, min_mass: float = 0.0,
            reach: float = 0.0) -> tuple[float, list]:
-    """Integral over a < b of the integrand whose values(a, b) are its values
-    at the _gk15_nodes of the panels (a_i, b_i), and its panels, a list of
-    (left edges, right edges, values) arrays, one per piece.
+    """Integral over a < b of the integrand whose values, real or complex,
+    values(a, b) gives at the _gk15_nodes of the panels (a_i, b_i), one row
+    each, and its panels, a list of (left edges, right edges, values)
+    arrays, one per piece.
 
     A finite interval is one adaptive pass.  Otherwise a core, (-16, 16) or
     (a, r) with r the first of 16, 32, ... beyond a, then shells [r, 1.5r]
