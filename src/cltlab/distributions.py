@@ -295,8 +295,10 @@ class Density:
         fresh = {}
 
         def values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            fx = _f_at_nodes(g, a, b) * self._node_values(a, b, fresh)
-            # where the product is not finite, g * pdf node by node names the node
+            gx, px = _f_at_nodes(g, a, b), self._node_values(a, b, fresh)
+            with np.errstate(over="ignore"):
+                fx = gx * px
+            # where the product overflows, g * pdf node by node names the node
             return fx if np.isfinite(fx).all() else _f_at_nodes(lambda x: g(x) * self.pdf(x), a, b)
 
         value = _sweep(values, *self.support, tol, edges, reach=reach)[0]

@@ -533,6 +533,13 @@ class TestNodeStore:
         for g in (math.cos, lambda x: 1.0 / (1.0 + x * x), math.tanh):
             assert _outcome(lambda: integral_against(g, d)) == _outcome(lambda: swept(g, 1e-9))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_product_named(self):
+        # g and the pdf are finite, their product is not: ValueError naming
+        # the first such node, and no overflow warning
+        with pytest.raises(ValueError, match=r"non-finite value near x=-0\.162135"):
+            integral_against(lambda x: 1.7e308, normal(0.0, 0.01))
+
 
 class TestNormalDensity:
     def test_standard_at_zero(self):
