@@ -244,24 +244,27 @@ class Density:
         from the pdf's _kinks when it has them, the mass up to each edge and
         the pdf at the GK15 nodes of each panel, one row per panel
         (read-only: cached and shared)."""
-        store = self._node_store
-        _, panels = _sweep(partial(self._node_values, fresh=store), *self.support, _CDF_TOL,
+        seen = {}
+        _, panels = _sweep(partial(self._node_values, fresh=seen), *self.support, _CDF_TOL,
                            getattr(self.pdf, "_kinks", None), min_mass=_SWEPT_MASS)
         a, b, v = (np.concatenate(column) for column in zip(*panels))
         order = np.argsort(a)
         edges = np.concatenate([a[order[:1]], b[order]])
         mass = np.concatenate([[0.0], np.cumsum(v[order])])
-        nodes = self._node_values(a[order], b[order], store)
+        keys = list(zip(a[order].tolist(), b[order].tolist()))
+        nodes = np.array([seen[k] for k in keys])
         for column in (edges, mass, nodes):
             column.flags.writeable = False
+        # the panels the sweep bisected are never read again
+        self._node_store.update(zip(keys, nodes))
         return edges, mass, nodes
 
     @cached_property
     def _node_store(self) -> dict:
         """pdf values at the GK15 nodes of panels, keyed by (left, right):
-        every panel the partition's sweep read, then those that moments,
-        integral_against and charfun read beyond them, kept only from calls
-        that converge (see _node_values and _keep_nodes)."""
+        the partition's panels, then those that moments, integral_against
+        and charfun read beyond them, kept only from calls that converge
+        (see _node_values and _keep_nodes)."""
         return {}
 
     def _node_values(self, a: np.ndarray, b: np.ndarray, fresh: dict) -> np.ndarray:

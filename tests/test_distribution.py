@@ -533,6 +533,14 @@ class TestNodeStore:
         for g in (math.cos, lambda x: 1.0 / (1.0 + x * x), math.tanh):
             assert _outcome(lambda: integral_against(g, d)) == _outcome(lambda: swept(g, 1e-9))
 
+    def test_store_starts_with_the_partition_panels(self):
+        # the panels the partition's sweep bisected stay out: no later sweep
+        # reads them, and they would take the room later calls keep nodes in
+        for f, support in READ_ONCE_LAWS.values():
+            d = Density(f, support)
+            edges = d._partition[0]
+            assert list(d._node_store) == list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_product_named(self):
         # g and the pdf are finite, their product is not: ValueError naming
