@@ -244,15 +244,15 @@ class Density:
         from the pdf's _kinks when it has them, the mass up to each edge and
         the pdf at the GK15 nodes of each panel, one row per panel
         (read-only: cached and shared)."""
-        seen = {}
-        _, panels = _sweep(partial(self._node_values, fresh=seen), *self.support, _CDF_TOL,
+        fresh = {}
+        _, panels = _sweep(partial(self._node_values, fresh=fresh), *self.support, _CDF_TOL,
                            getattr(self.pdf, "_kinks", None), min_mass=_SWEPT_MASS)
         a, b, v = (np.concatenate(column) for column in zip(*panels))
         order = np.argsort(a)
         edges = np.concatenate([a[order[:1]], b[order]])
         mass = np.concatenate([[0.0], np.cumsum(v[order])])
         keys = list(zip(a[order].tolist(), b[order].tolist()))
-        nodes = np.array([seen[k] for k in keys])
+        nodes = np.array([fresh[k] for k in keys])
         for column in (edges, mass, nodes):
             column.flags.writeable = False
         # the panels the sweep bisected are never read again
