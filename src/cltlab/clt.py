@@ -29,8 +29,12 @@ from .weak_convergence import ConvergenceProbe, cdf_distance, default_grid, levy
 
 _DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 _SIGMA2_TOL = 1e-9
-# uniforms per Monte Carlo chunk: its few working arrays stay in cache
+# uniforms (or, on the count path, sums) per Monte Carlo chunk: its few
+# working arrays stay in cache
 _MC_CHUNK_ELEMS = 1 << 14
+# Monte Carlo sums draw their count vectors once n >= this * (K - 1): a
+# binomial variate cost 40-200 ns against about 8 ns per categorical summand
+_MC_COUNTS_PER_ATOM = 32
 # distinct grids whose normal probes (and their cached normal CDF values)
 # are kept across run_clt calls
 _PROBE_CACHE_SIZE = 8
@@ -140,18 +144,43 @@ def _mc_normalized_sum(base: Discrete, n: int, draws: int, seed: int) -> Empiric
     """Empirical law of the normalized n-fold sum from seeded sampling.
 
     Each (seed, n) pair gets its own generator stream, so a row does not
-    depend on which other rows were requested.  Rows are drawn in chunks of
-    about _MC_CHUNK_ELEMS uniforms (one row when n exceeds it), which keeps
-    the working arrays in cache; the stream, and so every draw, does not
-    depend on the chunking.
+    depend on which other rows were requested.  Below
+    n = _MC_COUNTS_PER_ATOM * (K - 1), for a base of K atoms, each sum maps
+    n uniforms to atoms (``Discrete._draw``), in chunks of about
+    _MC_CHUNK_ELEMS uniforms (one row when n exceeds it) that keep the
+    working arrays in cache; the stream, and so every draw, does not depend
+    on the chunking.  From that n on, each sum is drawn from its count
+    vector, which is Multinomial(n, weights), by K - 1 conditional binomials
+    (Devroye 1986, XI.1): c_k ~ Bin(n - c_1 - ... - c_{k-1}, w_k / (w_k +
+    ... + w_K)) and the last atom takes what is left, so a row costs
+    O(draws * K) variates rather than O(draws * n) uniforms.  The suffix sums
+    come from the weights themselves, which absorbs a weight sum within
+    1e-12 of one.  Those rows work through fixed chunks of _MC_CHUNK_ELEMS
+    sums, one binomial array per atom and chunk.
     """
     rng = np.random.default_rng([seed, n])
     scale = math.sqrt(n * variance(base))
-    rows = max(1, _MC_CHUNK_ELEMS // n)
     out = np.empty(draws)
-    for done in range(0, draws, rows):
-        k = min(rows, draws - done)
-        out[done:done + k] = base._draw(rng.random((k, n))).sum(axis=1) / scale
+    points = base.points
+    if n < _MC_COUNTS_PER_ATOM * (points.size - 1):
+        rows = max(1, _MC_CHUNK_ELEMS // n)
+        for done in range(0, draws, rows):
+            k = min(rows, draws - done)
+            out[done:done + k] = base._draw(rng.random((k, n))).sum(axis=1) / scale
+        return Empirical(out)
+    w = base.weights
+    # P(atom k | atom >= k), at most 1: the suffix sum at k adds w_k to nonnegatives
+    share = w[:-1] / np.cumsum(w[::-1])[:0:-1]
+    for done in range(0, draws, _MC_CHUNK_ELEMS):
+        k = min(_MC_CHUNK_ELEMS, draws - done)
+        left = np.full(k, n, dtype=np.int64)
+        total = np.zeros(k)
+        for x, p in zip(points[:-1], share):
+            c = rng.binomial(left, p)
+            total += c * x
+            left -= c
+        total += left * points[-1]
+        out[done:done + k] = total / scale
     return Empirical(out)
 
 

@@ -6,6 +6,8 @@ scans over dense grids.
 """
 
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from hypothesis import strategies as st
@@ -176,6 +178,43 @@ def coin_sum_cdf(n: int):
         return at(math.ceil(m - 1e-9) - 1), at(math.floor(m + 1e-9))
 
     return F
+
+
+def lattice_sum_cdf(points, weights, n: int) -> tuple[int, list[float]]:
+    """Exact law of the sum of n iid draws from a base on the integers with
+    rational weights, by the multinomial theorem: P(S = s) is the
+    coefficient of z^s in (sum_k w_k z^x_k)^n, the sum over the count
+    vectors c with sum_k c_k x_k = s of n!/prod c_k! prod w_k^c_k.
+
+    With w_k = a_k / D, the integer coefficients of (sum_k a_k z^(x_k - lo))^n
+    sum to D^n, so each fits in the bits of D^n: one integer power of the
+    polynomial packed at z = 2^B, B that many bits in whole bytes, holds
+    them all.  Returns lo * n, the least sum, and P(S <= lo * n + j) for
+    j = 0, 1, ... up to the greatest sum, each the float nearest the exact
+    fraction."""
+    xs = [int(x) for x in points]
+    ws = [Fraction(w) for w in weights]
+    if xs != list(points) or sum(ws) != 1:
+        raise ValueError("lattice_sum_cdf needs integer points and weights summing to 1")
+    d = math.lcm(*(w.denominator for w in ws))
+    total = d ** n
+    width = -(-total.bit_length() // 8)  # bytes per coefficient
+    lo = min(xs)
+    packed = sum(int(w * d) << (8 * width * (x - lo)) for x, w in zip(xs, ws)) ** n
+    slots = n * (max(xs) - lo) + 1
+    raw = packed.to_bytes(slots * width, "little")
+    counts = (int.from_bytes(raw[j * width:(j + 1) * width], "little") for j in range(slots))
+    return lo * n, [c / total for c in accumulate(counts)]
+
+
+def lattice_ks_distance(sums, lo: int, cdf) -> float:
+    """sup |empirical CDF of the integer sums - cdf|, cdf[j] = P(S <= lo + j):
+    both are step functions that move only at the integers lo, lo + 1, ...,
+    so the sup is reached at one of them."""
+    counts = np.bincount(np.asarray(sums) - lo, minlength=len(cdf))
+    if counts.size != len(cdf):
+        raise ValueError("a sum lies beyond the support of the exact law")
+    return float(np.max(np.abs(np.cumsum(counts) / len(sums) - np.asarray(cdf))))
 
 
 def symmetric_sum_charfun(points, weights, n: int, t: float) -> float:

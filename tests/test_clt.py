@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cltlab.charfuns import charfun, normal_charfun
 from cltlab.clt import (
     CltExperiment,
     ConvergenceReport,
+    _MC_COUNTS_PER_ATOM,
     Row,
     _mc_normalized_sum,
     center,
@@ -32,6 +34,7 @@ from cltlab.distributions import (
     variance,
 )
 from cltlab.weak_convergence import levy_metric
+from oracles import dkw_band, lattice_ks_distance, lattice_sum_cdf
 
 T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -220,10 +223,12 @@ class TestMonteCarloSampler:
         ("wide_257", 4, 20_000, 19),
         ("wide_5000", 3, 20_000, 23),
         ("die", 1, 30_000, 13),
-        ("die", 70_000, 2, 17),  # one row holds more uniforms than a chunk
+        ("wide_5000", 20_000, 2, 17),  # one row holds more uniforms than a chunk
     ])
     def test_bit_identical_to_binary_search(self, name, n, draws, seed):
         base = SAMPLER_BASES[name]()
+        # every case stays below the count path's n
+        assert n < _MC_COUNTS_PER_ATOM * (base.points.size - 1)
         got = _mc_normalized_sum(base, n, draws, seed)
         want = _reference_mc_sum(base, n, draws, seed)
         for field in ("samples", "points", "weights"):
@@ -296,14 +301,61 @@ class TestMonteCarloSampler:
         assert _same_bits(got.samples, mu.points[_searchsorted_index(mu, u)])
 
     def test_memory_bounded_by_one_chunk(self):
+        # n = 128 maps uniforms to atoms, n = 256 draws count vectors
         base = center(fair_die())
-        tracemalloc.start()
-        try:
-            _mc_normalized_sum(base, 256, 100_000, 7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
+        for n in (128, 256):
+            tracemalloc.start()
+            try:
+                _mc_normalized_sum(base, n, 100_000, 7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16e6, n
+
+
+# integer atoms, exact weights and an n on the count path
+COUNT_PATH_CASES = {
+    "die": ([1, 2, 3, 4, 5, 6], [Fraction(1, 6)] * 6, 200),
+    "coin": ([-1, 1], [Fraction(1, 2)] * 2, 64),
+    "gapped": ([0, 2, 3, 5], [Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)],
+               300),
+}
+
+
+class TestCountPath:
+    @pytest.mark.parametrize("name", sorted(COUNT_PATH_CASES))
+    def test_within_dkw_band_of_exact_law(self, name):
+        points, weights, n = COUNT_PATH_CASES[name]
+        base = Discrete(np.array(points, dtype=float), np.array([float(w) for w in weights]))
+        assert n >= _MC_COUNTS_PER_ATOM * (base.points.size - 1)
+        draws = 400_000
+        scaled = _mc_normalized_sum(base, n, draws, 2024).samples * math.sqrt(n * variance(base))
+        sums = np.rint(scaled).astype(np.int64)
+        assert np.abs(scaled - sums).max() < 1e-9
+        lo, F = lattice_sum_cdf(points, weights, n)
+        assert lattice_ks_distance(sums, lo, F) <= dkw_band(draws)
+
+    def test_rows_deterministic_and_independent(self):
+        # 20,000 draws span two chunks; n = 10 stays on the categorical path
+        exp = CltExperiment(fair_die(), ns=(10, 160, 320), seed=4, mc_draws=20_000)
+        rows = run_clt(exp).rows
+        assert run_clt(exp).rows == rows
+        alone = CltExperiment(fair_die(), ns=(320,), seed=4, mc_draws=20_000)
+        assert run_clt(alone).rows == rows[-1:]
+        base = center(fair_die())
+        a, b = (_mc_normalized_sum(base, 320, 20_000, 4) for _ in range(2))
+        assert _same_bits(a.samples, b.samples)
+
+    @pytest.mark.parametrize("excess", [-4e-13, 4e-13])
+    def test_weight_sum_off_one(self, excess):
+        # weights within 1e-12 of mass one, either side: every sum is one
+        # the atoms can make
+        base = Discrete(np.arange(3.0), np.array([0.25, 0.25, 0.5 + excess]))
+        n = _MC_COUNTS_PER_ATOM * 2
+        scaled = _mc_normalized_sum(base, n, 20_000, 3).samples * math.sqrt(n * variance(base))
+        sums = np.rint(scaled)
+        assert np.abs(scaled - sums).max() < 1e-9
+        assert 0 <= sums.min() and sums.max() <= 2 * n
 
 
 class TestNormalSideComputedOnce:
