@@ -14,7 +14,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -244,19 +244,31 @@ class Density:
         from the pdf's _kinks when it has them, the mass up to each edge and
         the pdf at the GK15 nodes of each panel, one row per panel
         (read-only: cached and shared)."""
-        fresh = {}
-        _, panels = _sweep(partial(self._node_values, fresh=fresh), *self.support, _CDF_TOL,
-                           getattr(self.pdf, "_kinks", None), min_mass=_SWEPT_MASS)
+        rounds = []
+
+        def values(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+            fx = _f_at_nodes(self.pdf, pa, pb)
+            rounds.append((pa, pb, fx))
+            return fx
+
+        _, panels = _sweep(values, *self.support, _CDF_TOL, getattr(self.pdf, "_kinks", None),
+                           min_mass=_SWEPT_MASS)
         a, b, v = (np.concatenate(column) for column in zip(*panels))
         order = np.argsort(a)
         edges = np.concatenate([a[order[:1]], b[order]])
         mass = np.concatenate([[0.0], np.cumsum(v[order])])
-        keys = list(zip(a[order].tolist(), b[order].tolist()))
-        nodes = np.array([fresh[k] for k in keys])
+        # Each panel read is a final one or the parent of a narrower panel
+        # with its left edge, so the narrowest panel read at each left edge
+        # is the final panel there: its row is the first in (left, right) order.
+        sa, sb, fx = zip(*rounds)
+        sa, sb = np.concatenate(sa), np.concatenate(sb)
+        by_edges = np.lexsort((sb, sa))
+        first = by_edges[np.flatnonzero(np.diff(sa[by_edges], prepend=-np.inf))]
+        nodes = np.concatenate(fx)[first]
         for column in (edges, mass, nodes):
             column.flags.writeable = False
         # the panels the sweep bisected are never read again
-        self._node_store.update(zip(keys, nodes))
+        self._node_store.update(zip(zip(a[order].tolist(), b[order].tolist()), nodes))
         return edges, mass, nodes
 
     @cached_property
