@@ -304,7 +304,10 @@ class _CorridorTerm(NamedTuple):
     def beyond(self, floor: float) -> "_CorridorTerm":
         """The points whose gap0 exceeds floor: no other point can break
         the corridor at an eps of floor or more."""
-        keep = self.gap0 > floor
+        return self.subset(self.gap0 > floor)
+
+    def subset(self, keep: np.ndarray) -> "_CorridorTerm":
+        """The points where keep is true."""
         return self._replace(x=self.x[keep], c=self.c[keep], sign=self.sign[keep],
                              gap0=self.gap0[keep])
 
@@ -315,6 +318,21 @@ class _CorridorTerm(NamedTuple):
         H(x - eps) - c <= eps + slack reads y + H(y) <= x + c + slack."""
         x, sign = self.x[at], self.sign[at]
         return sign * (self.inverse(x + self.c[at] - sign * _LEVY_SLACK) - x)
+
+    def least_steps(self, g: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """For each point, the least j in (lo, hi] at which it keeps the
+        corridor of width j*g as _corridor_holds checks it, x + sign*j*g
+        rounded to a float (hi when it breaks the corridor throughout): one
+        bisection per point, each point's value falling as eps grows."""
+        while True:
+            wide = hi - lo > 1
+            if not wide.any():
+                return hi
+            mid = (lo + hi) // 2
+            eps = mid * g
+            holds = self.sign * (self.c - self.H(self.x + self.sign * eps)) <= eps + _LEVY_SLACK
+            hi = np.where(wide & holds, mid, hi)
+            lo = np.where(wide & ~holds, mid, lo)
 
 
 def _corridor_terms(A, B) -> list[_CorridorTerm]:
@@ -366,7 +384,11 @@ def levy_metric(mu: Dist, nu: Dist, tol: float = 1e-4) -> float:
     those of the points whose gap exceeds it less a grid step, since a root
     never exceeds its gap.  It steps one grid point toward the side still
     unresolved, doubling the step each time, and bisects once a step would
-    leave the bracket.  A poor guess costs checks, never the value.
+    leave the bracket.  A poor guess costs checks, never the value.  Where
+    the grid step nears the float spacing of the points (tol near 2^-52),
+    x +- eps moves in jumps of several steps, so the points whose roots
+    could bind first find their own least j on their own check, by a
+    bisection of a few points, and the guess is the last of those.
     """
     _require_dist(mu)
     _require_dist(nu)
@@ -387,10 +409,26 @@ def levy_metric(mu: Dist, nu: Dist, tol: float = 1e-4) -> float:
     g = min(math.ldexp(0.5, math.frexp(tol)[1]), 1.0)
     root = float(widest.roots(slice(i, i + 1))[0])
     floor = (math.ceil(root / g) - 1) * g
-    near = [t.beyond(floor) for t in terms]
-    root = max([root] + [float(t.roots().max()) for t in near if t.x.size])
+    near = [t for t in (u.beyond(floor) for u in terms) if t.x.size]
+    roots = [t.roots() for t in near]
     lo, hi = 0, round(1.0 / g)  # the corridor breaks at lo*g and holds at hi*g
-    j, step = min(max(math.ceil(root / g), 1), hi), 1
+    top = math.ceil(max([root] + [float(r.max()) for r in roots]) / g)
+    j = top
+    if math.ulp(max((float(np.abs(t.x).max()) for t in near), default=0.0) + top * g) > g / 64:
+        # The grid step nears the float spacing of x +- eps, which jumps
+        # whole steps, so a root's float can sit steps off where its point's
+        # check first holds.  Each point within two spacings and a step of
+        # the top root settles on its own check; the last to hold is the guess.
+        j = 0
+        for t, r in zip(near, roots):
+            steps = np.ceil(r / g)
+            slop = np.ceil(2.0 * np.spacing(np.abs(t.x) + np.abs(r)) / g) + 1.0
+            close = steps + slop >= top
+            if close.any():
+                first = np.clip(steps[close] - slop[close] - 1.0, 0.0, hi - 1).astype(np.int64)
+                last = np.clip(steps[close] + slop[close], 1.0, hi).astype(np.int64)
+                j = max(j, int(t.subset(close).least_steps(g, first, last).max()))
+    j, step = min(max(j, 1), hi), 1
     while hi - lo > 1:
         if _corridor_holds(near if j * g >= floor else terms, j * g):
             hi, j = j, j - step
