@@ -319,18 +319,21 @@ class _CorridorTerm(NamedTuple):
         x, sign = self.x[at], self.sign[at]
         return sign * (self.inverse(x + self.c[at] - sign * _LEVY_SLACK) - x)
 
+    def holds(self, eps) -> np.ndarray:
+        """Whether each point keeps the corridor of width eps (a scalar or
+        one per point), x + sign * eps rounded to a float."""
+        return self.sign * (self.c - self.H(self.x + self.sign * eps)) <= eps + _LEVY_SLACK
+
     def least_steps(self, g: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """For each point, the least j in (lo, hi] at which it keeps the
-        corridor of width j*g as _corridor_holds checks it, x + sign*j*g
-        rounded to a float (hi when it breaks the corridor throughout): one
+        corridor of width j*g (hi when it breaks it throughout): one
         bisection per point, each point's value falling as eps grows."""
         while True:
             wide = hi - lo > 1
             if not wide.any():
                 return hi
             mid = (lo + hi) // 2
-            eps = mid * g
-            holds = self.sign * (self.c - self.H(self.x + self.sign * eps)) <= eps + _LEVY_SLACK
+            holds = self.holds(mid * g)
             hi = np.where(wide & holds, mid, hi)
             lo = np.where(wide & ~holds, mid, lo)
 
@@ -355,9 +358,7 @@ def _corridor_terms(A, B) -> list[_CorridorTerm]:
 
 def _corridor_holds(terms: list[_CorridorTerm], eps: float) -> bool:
     """Whether no point of the terms breaks the corridor of width eps."""
-    bound = eps + _LEVY_SLACK
-    return all(np.max(t.sign * (t.c - t.H(t.x + t.sign * eps))) <= bound
-               for t in terms if t.x.size)
+    return all(t.holds(eps).all() for t in terms)
 
 
 def levy_metric(mu: Dist, nu: Dist, tol: float = 1e-4) -> float:
