@@ -53,11 +53,13 @@ class CltExperiment:
     not already zero, and must have positive variance.  ``sigma2``, when
     given, is checked against the recomputed variance (1e-9 tolerance).
     ``grid`` defaults to the standard continuity grid for the normal limit.
-    ``mc_draws`` switches the sum construction to seeded Monte Carlo: each
-    row costs O(mc_draws * n) time, with memory bounded by one chunk of
-    uniforms plus the mc_draws sums.  Each (seed, n) pair has its own
-    generator stream, unchanged by the chunking, so earlier seeded outputs
-    reproduce byte for byte.
+    ``mc_draws`` switches the sum construction to seeded Monte Carlo.  For
+    a base of K atoms, a row with n < 32 (K - 1) maps n uniforms to atoms
+    per sum, O(mc_draws * n) time; from n = 32 (K - 1) on, each sum is
+    drawn from its multinomial count vector by K - 1 binomial variates,
+    O(mc_draws * K) time.  Memory is one chunk of uniforms or sums plus the
+    mc_draws sums, and each (seed, n) pair has its own generator stream, so
+    a row does not depend on the other rows requested.
     """
 
     base: Discrete
