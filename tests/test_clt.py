@@ -11,8 +11,8 @@ from cltlab.charfuns import charfun, normal_charfun
 from cltlab.clt import (
     CltExperiment,
     ConvergenceReport,
-    _MC_COUNTS_PER_ATOM,
     Row,
+    _MC_COUNTS_PER_ATOM,
     _mc_normalized_sum,
     center,
     charfun_convergence_curve,
@@ -346,11 +346,12 @@ class TestCountPath:
         a, b = (_mc_normalized_sum(base, 320, 20_000, 4) for _ in range(2))
         assert _same_bits(a.samples, b.samples)
 
-    @pytest.mark.parametrize("excess", [-4e-13, 4e-13])
-    def test_weight_sum_off_one(self, excess):
-        # weights within 1e-12 of mass one, either side: every sum is one
-        # the atoms can make
-        base = Discrete(np.arange(3.0), np.array([0.25, 0.25, 0.5 + excess]))
+    @pytest.mark.parametrize("weights", [[0.5, 0.5 + 3e-13, 1e-13], [0.25, 0.25, 0.5 - 4e-13]])
+    def test_weight_sum_off_one(self, weights):
+        # weights summing to 1 + 4e-13 and 1 - 4e-13: shares taken from the
+        # suffix sums stay at most 1 (1 - 0.5 would leave less than the
+        # middle atom's 0.5 + 3e-13), and every sum is one the atoms can make
+        base = Discrete(np.arange(3.0), np.array(weights))
         n = _MC_COUNTS_PER_ATOM * 2
         scaled = _mc_normalized_sum(base, n, 20_000, 3).samples * math.sqrt(n * variance(base))
         sums = np.rint(scaled)
