@@ -16,21 +16,25 @@ import numpy as np
 
 from .charfuns import charfun, normal_charfun
 from .distributions import (
+    _MAX_ATOMS,
     Discrete,
     Dist,
     Empirical,
+    _lattice_span,
+    _lattice_sum,
     iid_sum_normalized,
     mean,
     shift_scale,
     standard_normal,
     variance,
 )
+from .errors import NonConvergenceError, SizeLimitError
 from .weak_convergence import ConvergenceProbe, cdf_distance, default_grid, levy_metric
 
 _DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 _SIGMA2_TOL = 1e-9
-# uniforms (or, on the count path, sums) per Monte Carlo chunk: its few
-# working arrays stay in cache
+# uniforms (sums, on the exact-law and count paths) per Monte Carlo chunk:
+# its few working arrays stay in cache
 _MC_CHUNK_ELEMS = 1 << 14
 # Monte Carlo sums draw their count vectors once n >= this * (K - 1): a
 # binomial variate cost 40-200 ns against about 8 ns per categorical summand
@@ -53,13 +57,17 @@ class CltExperiment:
     not already zero, and must have positive variance.  ``sigma2``, when
     given, is checked against the recomputed variance (1e-9 tolerance).
     ``grid`` defaults to the standard continuity grid for the normal limit.
-    ``mc_draws`` switches the sum construction to seeded Monte Carlo.  For
-    a base of K atoms, a row with n < 32 (K - 1) maps n uniforms to atoms
-    per sum, O(mc_draws * n) time; from n = 32 (K - 1) on, each sum is
+    ``mc_draws`` switches the sum construction to seeded Monte Carlo.  A
+    lattice base whose sum fits the 10^6 slots of an exact lattice sum
+    builds that sum's law and draws each sum from it with one uniform,
+    O(mc_draws) time past the law's build.  Any other row draws summands:
+    for a base of K atoms, a row with n < 32 (K - 1) maps n uniforms to
+    atoms per sum, O(mc_draws * n) time; from n = 32 (K - 1) on, each sum is
     drawn from its multinomial count vector by K - 1 binomial variates,
     O(mc_draws * K) time.  Memory is one chunk of uniforms or sums plus the
-    mc_draws sums, and each (seed, n) pair has its own generator stream, so
-    a row does not depend on the other rows requested.
+    mc_draws sums (and the law, on the lattice path), and each (seed, n)
+    pair has its own generator stream, so a row does not depend on the other
+    rows requested.
     """
 
     base: Discrete
@@ -142,37 +150,43 @@ class ConvergenceReport:
         object.__setattr__(self, "rows", rows)
 
 
-def _mc_normalized_sum(base: Discrete, n: int, draws: int, seed: int) -> Empirical:
-    """Empirical law of the normalized n-fold sum from seeded sampling.
-
-    Each (seed, n) pair gets its own generator stream, so a row does not
-    depend on which other rows were requested.  Below
-    n = _MC_COUNTS_PER_ATOM * (K - 1), for a base of K atoms, each sum maps
-    n uniforms to atoms (``Discrete._draw``), in chunks of about
-    _MC_CHUNK_ELEMS uniforms (one row when n exceeds it) that keep the
-    working arrays in cache; the stream, and so every draw, does not depend
-    on the chunking.  From that n on, each sum is drawn from its count
-    vector, which is Multinomial(n, weights), by K - 1 conditional binomials
-    (Devroye 1986, XI.1): c_k ~ Bin(n - c_1 - ... - c_{k-1}, w_k / (w_k +
-    ... + w_K)) and the last atom takes what is left, so a row costs
-    O(draws * K) variates rather than O(draws * n) uniforms.  The suffix sums
-    come from the weights themselves, which absorbs a weight sum within
-    1e-12 of one.  Those rows work through fixed chunks of _MC_CHUNK_ELEMS
-    sums, one binomial array per atom and chunk.
-    """
-    rng = np.random.default_rng([seed, n])
-    scale = math.sqrt(n * variance(base))
+# the samplers' generator annotations are strings: reading np.random at
+# import would load numpy.random for every import of cltlab
+def _mc_from_law(law: Discrete, draws: int, rng: "np.random.Generator") -> np.ndarray:
+    """draws atoms of law, one uniform each through its inverse CDF
+    (``Discrete._draw``), in chunks of _MC_CHUNK_ELEMS uniforms."""
     out = np.empty(draws)
-    points = base.points
-    if n < _MC_COUNTS_PER_ATOM * (points.size - 1):
-        rows = max(1, _MC_CHUNK_ELEMS // n)
-        for done in range(0, draws, rows):
-            k = min(rows, draws - done)
-            out[done:done + k] = base._draw(rng.random((k, n))).sum(axis=1) / scale
-        return Empirical(out)
-    w = base.weights
+    for done in range(0, draws, _MC_CHUNK_ELEMS):
+        k = min(_MC_CHUNK_ELEMS, draws - done)
+        out[done:done + k] = law._draw(rng.random(k))
+    return out
+
+
+def _mc_categorical(base: Discrete, n: int, draws: int, rng: "np.random.Generator") -> np.ndarray:
+    """draws sums of n atoms of base, each atom the one the inverse CDF sends
+    a uniform to (``Discrete._draw``): O(draws * n) uniforms, taken in
+    chunks of about _MC_CHUNK_ELEMS (one row when n exceeds it) that keep
+    the working arrays in cache."""
+    out = np.empty(draws)
+    rows = max(1, _MC_CHUNK_ELEMS // n)
+    for done in range(0, draws, rows):
+        k = min(rows, draws - done)
+        out[done:done + k] = base._draw(rng.random((k, n))).sum(axis=1)
+    return out
+
+
+def _mc_counts(base: Discrete, n: int, draws: int, rng: "np.random.Generator") -> np.ndarray:
+    """draws sums of n atoms of base, each read off its count vector, which
+    is Multinomial(n, weights), drawn by K - 1 conditional binomials
+    (Devroye 1986, XI.1): c_k ~ Bin(n - c_1 - ... - c_{k-1}, w_k / (w_k +
+    ... + w_K)) and the last atom takes what is left, O(draws * K) variates.
+    The suffix sums come from the weights themselves, which absorbs a weight
+    sum within 1e-12 of one.  Works through chunks of _MC_CHUNK_ELEMS sums,
+    one binomial array per atom and chunk."""
+    points, w = base.points, base.weights
     # P(atom k | atom >= k), at most 1: the suffix sum at k adds w_k to nonnegatives
     share = w[:-1] / np.cumsum(w[::-1])[:0:-1]
+    out = np.empty(draws)
     for done in range(0, draws, _MC_CHUNK_ELEMS):
         k = min(_MC_CHUNK_ELEMS, draws - done)
         left = np.full(k, n, dtype=np.int64)
@@ -182,8 +196,45 @@ def _mc_normalized_sum(base: Discrete, n: int, draws: int, seed: int) -> Empiric
             total += c * x
             left -= c
         total += left * points[-1]
-        out[done:done + k] = total / scale
-    return Empirical(out)
+        out[done:done + k] = total
+    return out
+
+
+def _mc_normalized_sum(base: Discrete, n: int, draws: int, seed: int) -> Empirical:
+    """Empirical law of the normalized n-fold sum from seeded sampling.
+
+    Each (seed, n) pair gets its own generator stream, so a row does not
+    depend on which other rows were requested, and no sampler's draws depend
+    on its chunking.  A base on a lattice (``_lattice_span``) whose sum fits
+    the 10^6 lattice slots of an exact sum first builds that sum's law by
+    ``_lattice_power``, and draws each normalized sum from it with one
+    uniform (``_mc_from_law``).  That law is the sum's exact law short of
+    the at most 1e-13 of mass the powering may drop, rescaled to mass one.
+    The base need not be centred.  Any other base, and a lattice sum whose
+    powering raises SizeLimitError (past the slot cap) or
+    NonConvergenceError (past the dropped-mass budget), draws its summands:
+    below n = _MC_COUNTS_PER_ATOM * (K - 1), for a base of K atoms, as n
+    categorical draws per sum (``_mc_categorical``); from there on, as the
+    sum's count vector (``_mc_counts``).  Every path samples the law of
+    S_n / sqrt(n sigma^2); memory is the draws sums plus one chunk, and the
+    exact law on the lattice path.
+    """
+    rng = np.random.default_rng([seed, n])
+    scale = math.sqrt(n * variance(base))
+    span = _lattice_span(base.points)
+    if span is not None:
+        try:
+            law = _lattice_sum(base, n, span, scale, _MAX_ATOMS)
+        except (SizeLimitError, NonConvergenceError):
+            pass
+        else:
+            return Empirical(_mc_from_law(law, draws, rng))
+    if n < _MC_COUNTS_PER_ATOM * (base.points.size - 1):
+        sums = _mc_categorical(base, n, draws, rng)
+    else:
+        sums = _mc_counts(base, n, draws, rng)
+    sums /= scale
+    return Empirical(sums)
 
 
 @lru_cache(maxsize=_PROBE_CACHE_SIZE)

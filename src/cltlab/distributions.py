@@ -852,6 +852,16 @@ def _lattice_power(mu: Discrete, n: int, span: float,
     return start + keep, wts[keep]
 
 
+def _lattice_sum(mu: Discrete, n: int, span: float, root: float, max_atoms: int) -> Discrete:
+    """The n-fold sum of mu, whose atoms lie on points[0] + span*Z, divided
+    by root: atoms (n*points[0] + span*k) / root from _lattice_power, with
+    its weights rescaled to total mass one.  Its errors are _lattice_power's
+    (SizeLimitError, NonConvergenceError); mu need not be centred."""
+    slots, wts = _lattice_power(mu, n, span, max_atoms)
+    pts = (n * float(mu.points[0]) + span * slots) / root
+    return Discrete.__new__(Discrete)._trust(pts, wts / wts.sum())
+
+
 def _count_vectors_within(n: int, k: int, cap: int) -> bool:
     """Whether C(n+k-1, k-1), the number of ways to split n draws among k
     atoms, is at most cap.  C(N, m) with m = min(n, k-1) is built up as
@@ -957,9 +967,7 @@ def iid_sum_normalized(mu: Discrete, n: int, max_atoms: int = _MAX_ATOMS) -> Dis
         else:
             total = _binary_power(mu, n, lambda a, b: _convolve_discrete(a, b, max_atoms))
         return shift_scale(total, 0.0, root)
-    slots, wts = _lattice_power(mu, n, span, max_atoms)
-    pts = (n * float(mu.points[0]) + span * slots) / root
-    return Discrete.__new__(Discrete)._trust(pts, wts / wts.sum())
+    return _lattice_sum(mu, n, span, root, max_atoms)
 
 
 def sample(mu: Dist, n: int, seed: int) -> Empirical:

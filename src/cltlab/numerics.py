@@ -351,6 +351,8 @@ def integrate_oscillatory(
     increasing order; values not exceeding ``a`` are skipped.  The integral
     is summed panel by panel between consecutive zeros and the eventually
     alternating series of panel values is accelerated by repeated averaging.
+    When ``a`` lies between two zeros, the partial panel from ``a`` to the
+    next zero counts in the sum but not in the alternation and decay checks.
 
     Raises ``NotOscillatoryError`` if the panel values fail to alternate,
     and ``NonConvergenceError`` if more than 10^4 half-periods are needed
@@ -369,9 +371,12 @@ def integrate_oscillatory(
     terms: list[float] = []
     k = 0
     exhausted = False
+    # pieces the checks skip: the first, from a to the next zero, is partial
+    # unless a is itself a zero, and its size says nothing of the amplitude
+    head = 1
 
     def extend(target: int) -> None:
-        nonlocal k, exhausted
+        nonlocal k, exhausted, head
         attempts = 0
         while len(terms) < target and len(terms) < _MAX_HALF_PERIODS and not exhausted:
             z = float(zeros(k))
@@ -380,6 +385,8 @@ def integrate_oscillatory(
             if attempts > 10 * _MAX_HALF_PERIODS:
                 raise ValueError("zeros() does not advance past the current panel")
             if not z > bounds[-1]:
+                if z == a:
+                    head = 0
                 continue
             t = _batched_rounds(values, None, (bounds[-1], z), piece_tol)[0]
             bounds.append(z)
@@ -391,7 +398,7 @@ def integrate_oscillatory(
     previous = None
     while True:
         extend(goal)
-        _check_alternating(terms)
+        _check_alternating(terms[head:])
         estimate = _accelerated(terms)
         if exhausted:
             return estimate

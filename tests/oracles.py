@@ -229,3 +229,28 @@ def symmetric_sum_charfun(points, weights, n: int, t: float) -> float:
     s = t / math.sqrt(n * s2)
     drop = math.fsum(2.0 * w * math.sin(0.5 * x * s) ** 2 for x, w in zip(points, weights))
     return math.exp(n * math.log1p(-drop))
+
+
+def cauchy_sine_tail(a: float, w: float) -> float:
+    """int_a^inf g(x) sin(w x) dx for g(x) = 1/(pi (1 + x^2)) and w a >> 1, by
+    integration by parts repeated: the sum over j of g^(j)(a) c_j / w^(j+1),
+    c_j cycling through cos(w a), -sin(w a), -cos(w a), sin(w a).
+
+    With a - i = r e^(-i theta), g^(j)(a) = (-1)^j j! sin((j+1) theta) /
+    (pi r^(j+1)), so the bound |g^(j)(a)| / w^(j+1) on term j shrinks by
+    about (j+1)/(w a) per term.  The series is asymptotic: it is summed while
+    that bound shrinks, until it falls below 1e-20 of the sum, and
+    ValueError is raised when it stops shrinking first (w a too small)."""
+    r, theta = math.hypot(a, 1.0), math.atan2(1.0, a)
+    trig = (math.cos(w * a), -math.sin(w * a), -math.cos(w * a), math.sin(w * a))
+    total, last = 0.0, math.inf
+    for j in range(1000):
+        g = (-1) ** j * math.factorial(j) * math.sin((j + 1) * theta) / (math.pi * r ** (j + 1))
+        bound = abs(g) / w ** (j + 1)
+        if bound >= last:
+            break
+        total += g * trig[j % 4] / w ** (j + 1)
+        if bound <= 1e-20 * abs(total):
+            return total
+        last = bound
+    raise ValueError("the integration-by-parts series stops shrinking too early")

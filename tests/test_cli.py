@@ -24,7 +24,7 @@ from cltlab.weak_convergence import (
     levy_metric,
     portmanteau_testfn,
 )
-from oracles import berry_esseen
+from oracles import berry_esseen, dkw_band
 
 
 def run_cli(capsys, *argv):
@@ -147,14 +147,22 @@ class TestClt:
         code, out, _ = run_cli(capsys, "clt", "--base", "preset:die",
                                "--ns", "10,40,160", "--mc", "2000", "--seed", "5")
         assert code == 0
-        # seeded Monte Carlo output is pinned byte for byte; n = 160 =
-        # 32 * (6 - 1) draws the die's count vectors
+        # seeded Monte Carlo output is pinned byte for byte; each row draws
+        # from the exact law of the die's sum
         assert out == (
             "n,cdf_sup,levy,charfun_sup\n"
-            "10,0.0415,0.0317993164062,0.00927107832761\n"
-            "40,0.0270594628914,0.029541015625,0.027032733699\n"
-            "160,0.0119137003071,0.0153198242188,0.0182006755518\n"
+            "10,0.0375158347233,0.0410766601562,0.039450554409\n"
+            "40,0.0199137003071,0.0191650390625,0.0123927615733\n"
+            "160,0.0142274320456,0.0145263671875,0.0145077035956\n"
         )
+        # the cdf_sup and levy columns move by at most the sample's distance
+        # to the exact law, within the DKW band (plus levy's 2^-14 step)
+        _, exact, _ = run_cli(capsys, "clt", "--base", "preset:die", "--ns", "10,40,160")
+        for mc_row, exact_row in zip(out.splitlines()[1:], exact.splitlines()[1:]):
+            mc_vals, exact_vals = (list(map(float, r.split(","))) for r in (mc_row, exact_row))
+            assert mc_vals[0] == exact_vals[0]
+            for col in (1, 2):
+                assert abs(mc_vals[col] - exact_vals[col]) <= dkw_band(2000) + 2.0**-14
 
 
 class TestWeakdist:
@@ -283,6 +291,15 @@ class TestEntryPoints:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert abs(float(proc.stdout) - 1.0) < 1e-6
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy 2 loads numpy.random on first access; an import of cltlab
+        # that touched it would add its import time and memory to every run
+        code = ("import sys, numpy; eager = 'numpy.random' in sys.modules; "
+                "import cltlab.cli; print(eager or 'numpy.random' not in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stdout.strip() == "True"
 
     def test_console_script(self, tmp_path):
         # Write the launcher pip generates for the declared [project.scripts]

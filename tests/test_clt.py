@@ -6,13 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cltlab import distributions
+from cltlab import clt, distributions
 from cltlab.charfuns import charfun, normal_charfun
 from cltlab.clt import (
     CltExperiment,
     ConvergenceReport,
     Row,
+    _MC_CHUNK_ELEMS,
     _MC_COUNTS_PER_ATOM,
+    _mc_categorical,
+    _mc_counts,
     _mc_normalized_sum,
     center,
     charfun_convergence_curve,
@@ -33,6 +36,7 @@ from cltlab.distributions import (
     standard_normal,
     variance,
 )
+from cltlab.errors import NonConvergenceError
 from cltlab.weak_convergence import levy_metric
 from oracles import dkw_band, lattice_ks_distance, lattice_sum_cdf
 
@@ -180,6 +184,20 @@ def _reference_mc_sum(base, n, draws, seed):
     return Empirical(out)
 
 
+def _summand_sums(sampler, base, n, draws, seed):
+    """A summand sampler's normalized sums on the (seed, n) stream, as
+    _mc_normalized_sum takes them for a base whose sum it cannot power."""
+    sums = sampler(base, n, draws, np.random.default_rng([seed, n]))
+    return Empirical(sums / math.sqrt(n * variance(base)))
+
+
+def _lattice_law(base, n):
+    """The exact law the lattice path draws from."""
+    scale = math.sqrt(n * variance(base))
+    return distributions._lattice_sum(base, n, distributions._lattice_span(base.points),
+                                      scale, distributions._MAX_ATOMS)
+
+
 def _tiny_weights():
     # six atoms of mass 1e-9 share the first guide-table bucket
     w = np.array([1e-9] * 6 + [0.5 - 3e-9] * 2)
@@ -229,10 +247,18 @@ class TestMonteCarloSampler:
         base = SAMPLER_BASES[name]()
         # every case stays below the count path's n
         assert n < _MC_COUNTS_PER_ATOM * (base.points.size - 1)
-        got = _mc_normalized_sum(base, n, draws, seed)
+        got = _summand_sums(_mc_categorical, base, n, draws, seed)
         want = _reference_mc_sum(base, n, draws, seed)
         for field in ("samples", "points", "weights"):
             assert _same_bits(getattr(got, field), getattr(want, field)), field
+
+    def test_past_the_slot_cap_draws_summands(self):
+        # 20,000 * 4999 + 1 slots: _mc_normalized_sum falls back to the
+        # categorical path
+        base = SAMPLER_BASES["wide_5000"]()
+        got = _mc_normalized_sum(base, 20_000, 2, 17)
+        want = _reference_mc_sum(base, 20_000, 2, 17)
+        assert _same_bits(got.samples, want.samples)
 
     def test_tiny_weights_take_the_crowded_path(self, monkeypatch):
         mu = _tiny_weights()
@@ -301,16 +327,23 @@ class TestMonteCarloSampler:
         assert _same_bits(got.samples, mu.points[_searchsorted_index(mu, u)])
 
     def test_memory_bounded_by_one_chunk(self):
-        # n = 128 maps uniforms to atoms, n = 256 draws count vectors
         base = center(fair_die())
-        for n in (128, 256):
+        rows = {
+            "categorical": lambda: _summand_sums(_mc_categorical, base, 128, 100_000, 7),
+            "counts": lambda: _summand_sums(_mc_counts, base, 256, 100_000, 7),
+            "law": lambda: _mc_normalized_sum(base, 256, 100_000, 7),
+            # the die's largest sum within the slot cap, and the first past it
+            "law at the cap": lambda: _mc_normalized_sum(base, 199_999, 100_000, 7),
+            "counts past the cap": lambda: _mc_normalized_sum(base, 200_000, 100_000, 7),
+        }
+        for name, row in rows.items():
             tracemalloc.start()
             try:
-                _mc_normalized_sum(base, n, 100_000, 7)
+                row()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 16e6, n
+            assert peak < 16e6, name
 
 
 # integer atoms, exact weights and an n on the count path
@@ -329,21 +362,22 @@ class TestCountPath:
         base = Discrete(np.array(points, dtype=float), np.array([float(w) for w in weights]))
         assert n >= _MC_COUNTS_PER_ATOM * (base.points.size - 1)
         draws = 400_000
-        scaled = _mc_normalized_sum(base, n, draws, 2024).samples * math.sqrt(n * variance(base))
+        drawn = _summand_sums(_mc_counts, base, n, draws, 2024)
+        scaled = drawn.samples * math.sqrt(n * variance(base))
         sums = np.rint(scaled).astype(np.int64)
         assert np.abs(scaled - sums).max() < 1e-9
         lo, F = lattice_sum_cdf(points, weights, n)
         assert lattice_ks_distance(sums, lo, F) <= dkw_band(draws)
 
     def test_rows_deterministic_and_independent(self):
-        # 20,000 draws span two chunks; n = 10 stays on the categorical path
+        # 20,000 draws span two chunks
         exp = CltExperiment(fair_die(), ns=(10, 160, 320), seed=4, mc_draws=20_000)
         rows = run_clt(exp).rows
         assert run_clt(exp).rows == rows
         alone = CltExperiment(fair_die(), ns=(320,), seed=4, mc_draws=20_000)
         assert run_clt(alone).rows == rows[-1:]
         base = center(fair_die())
-        a, b = (_mc_normalized_sum(base, 320, 20_000, 4) for _ in range(2))
+        a, b = (_summand_sums(_mc_counts, base, 320, 20_000, 4) for _ in range(2))
         assert _same_bits(a.samples, b.samples)
 
     @pytest.mark.parametrize("weights", [[0.5, 0.5 + 3e-13, 1e-13], [0.25, 0.25, 0.5 - 4e-13]])
@@ -353,10 +387,100 @@ class TestCountPath:
         # middle atom's 0.5 + 3e-13), and every sum is one the atoms can make
         base = Discrete(np.arange(3.0), np.array(weights))
         n = _MC_COUNTS_PER_ATOM * 2
-        scaled = _mc_normalized_sum(base, n, 20_000, 3).samples * math.sqrt(n * variance(base))
+        drawn = _summand_sums(_mc_counts, base, n, 20_000, 3)
+        scaled = drawn.samples * math.sqrt(n * variance(base))
         sums = np.rint(scaled)
         assert np.abs(scaled - sums).max() < 1e-9
         assert 0 <= sums.min() and sums.max() <= 2 * n
+
+
+# lattice bases of the sampler tests, each with an n whose sum fits the
+# slot cap, a draw count and a seed
+LAW_PATH_CASES = [
+    ("coin", 3, 25_001, 5),
+    ("die", 50, 12_345, 7),
+    ("die", 1, 30_000, 13),
+    ("inexact_lattice", 17, 20_000, 2),
+    ("tiny_weights", 9, 30_000, 3),
+    ("wide", 5, 25_000, 11),
+    ("wide_5000", 3, 20_000, 23),
+    ("short", 300, 20_000, 29),
+    ("empirical", 40, 20_000, 31),
+]
+
+
+@pytest.fixture
+def no_summands(monkeypatch):
+    """Fail any row that draws its summands instead of its exact law."""
+    def refuse(*args):
+        raise AssertionError("a lattice row within the slot cap drew summands")
+
+    monkeypatch.setattr(clt, "_mc_categorical", refuse)
+    monkeypatch.setattr(clt, "_mc_counts", refuse)
+
+
+@pytest.fixture
+def count_rows(monkeypatch):
+    """The n of every row that draws count vectors, in call order."""
+    calls = []
+    counts = clt._mc_counts
+
+    def spy(base, n, draws, rng):
+        calls.append(n)
+        return counts(base, n, draws, rng)
+
+    monkeypatch.setattr(clt, "_mc_counts", spy)
+    return calls
+
+
+class TestLatticeLawPath:
+    @pytest.mark.parametrize("name, n, draws, seed", LAW_PATH_CASES)
+    def test_draws_equal_binary_search_on_the_law(self, name, n, draws, seed, no_summands):
+        base = SAMPLER_BASES[name]()
+        law = _lattice_law(base, n)
+        got = _mc_normalized_sum(base, n, draws, seed)
+        u = np.random.default_rng([seed, n]).random(draws)
+        assert _same_bits(got.samples, law.points[_searchsorted_index(law, u)])
+
+    def test_draws_do_not_depend_on_the_chunking(self, monkeypatch):
+        base = center(fair_die())
+        draws = 3 * _MC_CHUNK_ELEMS + 5
+        one = _mc_normalized_sum(base, 40, _MC_CHUNK_ELEMS, 3).samples
+        several = _mc_normalized_sum(base, 40, draws, 3).samples
+        assert _same_bits(several[:_MC_CHUNK_ELEMS], one)
+        monkeypatch.setattr(clt, "_MC_CHUNK_ELEMS", 1000)
+        assert _same_bits(_mc_normalized_sum(base, 40, draws, 3).samples, several)
+
+    @pytest.mark.parametrize("name", sorted(COUNT_PATH_CASES))
+    def test_within_dkw_band_of_exact_law(self, name, no_summands):
+        # the die and the gapped base are not centred
+        points, weights, n = COUNT_PATH_CASES[name]
+        base = Discrete(np.array(points, dtype=float), np.array([float(w) for w in weights]))
+        draws = 400_000
+        scaled = _mc_normalized_sum(base, n, draws, 2024).samples * math.sqrt(n * variance(base))
+        sums = np.rint(scaled).astype(np.int64)
+        assert np.abs(scaled - sums).max() < 1e-9
+        lo, F = lattice_sum_cdf(points, weights, n)
+        assert lattice_ks_distance(sums, lo, F) <= dkw_band(draws)
+
+    def test_die_past_the_slot_cap_draws_count_vectors(self, count_rows):
+        base = center(fair_die())
+        _mc_normalized_sum(base, 199_999, 1000, 1)
+        assert count_rows == []
+        got = _mc_normalized_sum(base, 200_000, 1000, 1)
+        assert count_rows == [200_000]
+        want = _summand_sums(_mc_counts, base, 200_000, 1000, 1)
+        assert _same_bits(got.samples, want.samples)
+
+    def test_dropped_mass_over_budget_draws_count_vectors(self, count_rows):
+        # a wide base with extreme weights: its powering drops 1.9e-13 of
+        # mass at n = 600, over the 1e-13 budget
+        w = np.array([1e-4, 0.81, 0.0074, 0.18])
+        base = Discrete(np.array([0.0, 137.0, 290.0, 548.0]), w / w.sum())
+        with pytest.raises(NonConvergenceError):
+            _lattice_law(center(base), 600)
+        rows = run_clt(CltExperiment(base, ns=(600,), seed=1, mc_draws=2000)).rows
+        assert count_rows == [600] and [r.n for r in rows] == [600]
 
 
 class TestNormalSideComputedOnce:

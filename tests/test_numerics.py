@@ -15,7 +15,7 @@ from cltlab.numerics import (
     sinc,
 )
 from cltlab.numerics import _batched_rounds, _f_at_nodes, _gk15_nodes, _sweep
-from oracles import double_factorial_moment
+from oracles import cauchy_sine_tail, double_factorial_moment
 
 
 def normal_pdf(x):
@@ -158,6 +158,14 @@ class TestOscillatory:
         # average would settle on 1.0, which must not be reported as the integral
         with pytest.raises(NonConvergenceError):
             integrate_oscillatory(math.sin, lambda k: k * math.pi, tol=1e-8)
+
+    @pytest.mark.parametrize("a", [64.0, 64.05, 204 * math.pi / 10])
+    def test_lower_endpoint_between_zeros(self, a):
+        # from 64.0 and 64.05 the first piece ends at the zero 20.4 pi and is
+        # partial; it once entered the amplitude-decay check and raised
+        v = integrate_oscillatory(lambda x: math.sin(10.0 * x) / (math.pi * (1.0 + x * x)),
+                                  lambda k: k * math.pi / 10.0, a, tol=1e-12)
+        assert abs(v - cauchy_sine_tail(a, 10.0)) <= 1e-12
 
     def test_finite_upper_endpoint_rejected(self):
         with pytest.raises(ValueError):
