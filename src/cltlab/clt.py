@@ -33,8 +33,8 @@ from .weak_convergence import ConvergenceProbe, cdf_distance, default_grid, levy
 
 _DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 _SIGMA2_TOL = 1e-9
-# uniforms (sums, on the exact-law and count paths) per Monte Carlo chunk:
-# its few working arrays stay in cache
+# uniforms (sums, on the count path) per chunk of a summand sampler: its few
+# working arrays stay in cache
 _MC_CHUNK_ELEMS = 1 << 14
 # Monte Carlo sums draw their count vectors once n >= this * (K - 1): a
 # binomial variate cost 40-200 ns against about 8 ns per categorical summand
@@ -58,14 +58,15 @@ class CltExperiment:
     given, is checked against the recomputed variance (1e-9 tolerance).
     ``grid`` defaults to the standard continuity grid for the normal limit.
     ``mc_draws`` switches the sum construction to seeded Monte Carlo.  A
-    lattice base whose sum fits the 10^6 slots of an exact lattice sum
-    builds that sum's law and draws each sum from it with one uniform,
-    O(mc_draws) time past the law's build.  Any other row draws summands:
-    for a base of K atoms, a row with n < 32 (K - 1) maps n uniforms to
-    atoms per sum, O(mc_draws * n) time; from n = 32 (K - 1) on, each sum is
-    drawn from its multinomial count vector by K - 1 binomial variates,
-    O(mc_draws * K) time.  Memory is one chunk of uniforms or sums plus the
-    mc_draws sums (and the law, on the lattice path), and each (seed, n)
+    lattice base whose sum's slots number at most both the 10^6 of an exact
+    lattice sum and mc_draws * n builds that sum's law and draws the row as
+    one Multinomial(mc_draws, law) count vector over the law's atoms, O(K)
+    time and memory past the build for a law of K atoms; its sample is
+    stored sorted.  Any other row draws summands: for a base of K atoms, a
+    row with n < 32 (K - 1) maps n uniforms to atoms per sum, O(mc_draws *
+    n) time; from n = 32 (K - 1) on, each sum is drawn from its multinomial
+    count vector by K - 1 binomial variates, O(mc_draws * K) time; memory is
+    one chunk of uniforms or sums plus the mc_draws sums.  Each (seed, n)
     pair has its own generator stream, so a row does not depend on the other
     rows requested.
     """
@@ -152,16 +153,6 @@ class ConvergenceReport:
 
 # the samplers' generator annotations are strings: reading np.random at
 # import would load numpy.random for every import of cltlab
-def _mc_from_law(law: Discrete, draws: int, rng: "np.random.Generator") -> np.ndarray:
-    """draws atoms of law, one uniform each through its inverse CDF
-    (``Discrete._draw``), in chunks of _MC_CHUNK_ELEMS uniforms."""
-    out = np.empty(draws)
-    for done in range(0, draws, _MC_CHUNK_ELEMS):
-        k = min(_MC_CHUNK_ELEMS, draws - done)
-        out[done:done + k] = law._draw(rng.random(k))
-    return out
-
-
 def _mc_categorical(base: Discrete, n: int, draws: int, rng: "np.random.Generator") -> np.ndarray:
     """draws sums of n atoms of base, each atom the one the inverse CDF sends
     a uniform to (``Discrete._draw``): O(draws * n) uniforms, taken in
@@ -182,7 +173,8 @@ def _mc_counts(base: Discrete, n: int, draws: int, rng: "np.random.Generator") -
     ... + w_K)) and the last atom takes what is left, O(draws * K) variates.
     The suffix sums come from the weights themselves, which absorbs a weight
     sum within 1e-12 of one.  Works through chunks of _MC_CHUNK_ELEMS sums,
-    one binomial array per atom and chunk."""
+    one binomial array per atom and chunk, so the chunk size, unlike the
+    categorical sampler's, is part of the seeded draws."""
     points, w = base.points, base.weights
     # P(atom k | atom >= k), at most 1: the suffix sum at k adds w_k to nonnegatives
     share = w[:-1] / np.cumsum(w[::-1])[:0:-1]
@@ -204,31 +196,44 @@ def _mc_normalized_sum(base: Discrete, n: int, draws: int, seed: int) -> Empiric
     """Empirical law of the normalized n-fold sum from seeded sampling.
 
     Each (seed, n) pair gets its own generator stream, so a row does not
-    depend on which other rows were requested, and no sampler's draws depend
-    on its chunking.  A base on a lattice (``_lattice_span``) whose sum fits
-    the 10^6 lattice slots of an exact sum first builds that sum's law by
-    ``_lattice_power``, and draws each normalized sum from it with one
-    uniform (``_mc_from_law``).  That law is the sum's exact law short of
-    the at most 1e-13 of mass the powering may drop, rescaled to mass one.
-    The base need not be centred.  Any other base, and a lattice sum whose
-    powering raises SizeLimitError (past the slot cap) or
+    depend on which other rows were requested, and the first m sums a
+    summand sampler draws do not depend on the draw count.
+
+    A base on a lattice (``_lattice_span``) of width W spans, whose sum's
+    n W + 1 lattice slots number at most both the 10^6 cap of an exact sum
+    and draws * n, the summands the row stands for, first builds that sum's
+    law by ``_lattice_power``.  The row's sample then depends only on how
+    many draws land on each of the law's K atoms, a Multinomial(draws, law)
+    count vector, which ``Generator.multinomial`` draws by K - 1 conditional
+    binomials (Devroye 1986, XI.1): O(K) time and memory past the build,
+    whatever the draw count.  The law is the sum's exact law short of the at
+    most 1e-13 of mass the powering may drop, rescaled to mass one.  numpy
+    forms each conditional share against a running 1 - (w_1 + ... + w_k),
+    whose rounding of about K eps can misplace only the draws that land in
+    the last K eps of mass.  The slot rule needs no tuned constant and sends
+    sparse wide lattices to the summand paths ({0, 1, 10^5} at n = 9 with
+    2000 draws spans 900,001 slots against 18,000 summands), but it is not
+    a cost model: {0, 1, 1000} at n = 256 with 2000 draws still powers its
+    256,001 slots, about 18 ms against 3 ms by summands.  The base need not
+    be centred.
+
+    Any other base, and a lattice sum past the rule or whose powering raises
     NonConvergenceError (past the dropped-mass budget), draws its summands:
     below n = _MC_COUNTS_PER_ATOM * (K - 1), for a base of K atoms, as n
     categorical draws per sum (``_mc_categorical``); from there on, as the
-    sum's count vector (``_mc_counts``).  Every path samples the law of
-    S_n / sqrt(n sigma^2); memory is the draws sums plus one chunk, and the
-    exact law on the lattice path.
+    sum's count vector (``_mc_counts``); memory is the draws sums plus one
+    chunk.  Every path samples the law of S_n / sqrt(n sigma^2).
     """
     rng = np.random.default_rng([seed, n])
     scale = math.sqrt(n * variance(base))
     span = _lattice_span(base.points)
     if span is not None:
         try:
-            law = _lattice_sum(base, n, span, scale, _MAX_ATOMS)
+            law = _lattice_sum(base, n, span, scale, min(_MAX_ATOMS, draws * n))
         except (SizeLimitError, NonConvergenceError):
             pass
         else:
-            return Empirical(_mc_from_law(law, draws, rng))
+            return Empirical._from_counts(law.points, rng.multinomial(draws, law.weights))
     if n < _MC_COUNTS_PER_ATOM * (base.points.size - 1):
         sums = _mc_categorical(base, n, draws, rng)
     else:

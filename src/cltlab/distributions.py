@@ -521,7 +521,9 @@ def _pdf_on_grid(d: Density, xs: np.ndarray) -> np.ndarray:
 class Empirical(Discrete):
     """Uniform distribution over a finite sample, as a Discrete: the points
     are the distinct sample values and the weights their counts over N.
-    ``samples`` keeps the draws in the order given."""
+    ``samples`` keeps the draws in the order given; an Empirical built from
+    its counts (``_from_counts``) stores them sorted, and builds them only
+    when read."""
 
     def __init__(self, samples):
         xs = np.asarray(samples, dtype=float).reshape(-1)
@@ -530,16 +532,32 @@ class Empirical(Discrete):
         if not np.isfinite(xs).all():
             raise ValueError("samples must be finite")
         # np.unique gives finite, strictly increasing points and counts >= 1
-        points, counts = np.unique(xs, return_counts=True)
-        self._trust(points, counts / xs.size)
+        self._trust_counts(*np.unique(xs, return_counts=True))
         object.__setattr__(self, "samples", xs)
+
+    @classmethod
+    def _from_counts(cls, points: np.ndarray, counts: np.ndarray) -> "Empirical":
+        """The law of a sample holding counts[i] copies of points[i], without
+        the checks of __init__: only for finite, strictly increasing float
+        points and integer counts >= 0 with a positive sum.  Atoms of count 0
+        are left out, so the Empirical holds O(K) memory until ``samples``,
+        the sorted sample, is read."""
+        keep = counts > 0
+        return cls.__new__(cls)._trust_counts(points[keep], counts[keep])
+
+    def _trust_counts(self, points: np.ndarray, counts: np.ndarray) -> "Empirical":
+        object.__setattr__(self, "_counts", counts)
+        return self._trust(points, counts / counts.sum())
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        # only read for an Empirical built by _from_counts: __init__ stores the draws
+        return np.repeat(self.points, self._counts)
 
     @cached_property
     def _cumweights(self) -> np.ndarray:
-        # exact steps k/N from the counts (recovered exactly by rounding);
-        # a running sum of the weights drifts in the last bits
-        n = self.samples.size
-        return np.cumsum(np.rint(self.weights * n)) / n
+        # exact steps k/N; a running sum of the weights drifts in the last bits
+        return np.cumsum(self._counts) / self._counts.sum()
 
 
 Dist = Union[Discrete, Density]

@@ -148,12 +148,12 @@ class TestClt:
                                "--ns", "10,40,160", "--mc", "2000", "--seed", "5")
         assert code == 0
         # seeded Monte Carlo output is pinned byte for byte; each row draws
-        # from the exact law of the die's sum
+        # one count vector over the atoms of the die's exact sum
         assert out == (
             "n,cdf_sup,levy,charfun_sup\n"
-            "10,0.0375158347233,0.0410766601562,0.039450554409\n"
-            "40,0.0199137003071,0.0191650390625,0.0123927615733\n"
-            "160,0.0142274320456,0.0145263671875,0.0145077035956\n"
+            "10,0.0365594628914,0.0399780273438,0.0397554710997\n"
+            "40,0.0375,0.03125,0.0352178001372\n"
+            "160,0.015,0.0167236328125,0.0187157896272\n"
         )
         # the cdf_sup and levy columns move by at most the sample's distance
         # to the exact law, within the DKW band (plus levy's 2^-14 step)

@@ -326,24 +326,43 @@ class TestMonteCarloSampler:
         u = np.random.default_rng(9).random(20_000)
         assert _same_bits(got.samples, mu.points[_searchsorted_index(mu, u)])
 
+    @pytest.mark.parametrize("sampler, n", [(_mc_categorical, 40), (_mc_counts, 400)])
+    def test_draws_do_not_depend_on_the_draw_count(self, sampler, n):
+        base = center(fair_die())
+        draws = 3 * _MC_CHUNK_ELEMS + 5
+        one = _summand_sums(sampler, base, n, _MC_CHUNK_ELEMS, 3).samples
+        several = _summand_sums(sampler, base, n, draws, 3).samples
+        assert _same_bits(several[:_MC_CHUNK_ELEMS], one)
+        twice = _summand_sums(sampler, base, n, 2 * _MC_CHUNK_ELEMS, 3).samples
+        assert _same_bits(several[:2 * _MC_CHUNK_ELEMS], twice)
+
+    def test_draws_do_not_depend_on_the_chunking(self, monkeypatch):
+        base = center(fair_die())
+        draws = 3 * _MC_CHUNK_ELEMS + 5
+        several = _summand_sums(_mc_categorical, base, 40, draws, 3).samples
+        monkeypatch.setattr(clt, "_MC_CHUNK_ELEMS", 1000)
+        assert _same_bits(_summand_sums(_mc_categorical, base, 40, draws, 3).samples, several)
+
     def test_memory_bounded_by_one_chunk(self):
         base = center(fair_die())
         rows = {
-            "categorical": lambda: _summand_sums(_mc_categorical, base, 128, 100_000, 7),
-            "counts": lambda: _summand_sums(_mc_counts, base, 256, 100_000, 7),
-            "law": lambda: _mc_normalized_sum(base, 256, 100_000, 7),
+            "categorical": (lambda: _summand_sums(_mc_categorical, base, 128, 100_000, 7), 16e6),
+            "counts": (lambda: _summand_sums(_mc_counts, base, 256, 100_000, 7), 16e6),
+            "law": (lambda: _mc_normalized_sum(base, 256, 100_000, 7), 16e6),
+            # a law row holds the law and one count per atom, whatever the draws
+            "law at 10^7 draws": (lambda: _mc_normalized_sum(base, 256, 10**7, 7), 1e6),
             # the die's largest sum within the slot cap, and the first past it
-            "law at the cap": lambda: _mc_normalized_sum(base, 199_999, 100_000, 7),
-            "counts past the cap": lambda: _mc_normalized_sum(base, 200_000, 100_000, 7),
+            "law at the cap": (lambda: _mc_normalized_sum(base, 199_999, 100_000, 7), 16e6),
+            "counts past the cap": (lambda: _mc_normalized_sum(base, 200_000, 100_000, 7), 16e6),
         }
-        for name, row in rows.items():
+        for name, (row, bound) in rows.items():
             tracemalloc.start()
             try:
                 row()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 16e6, name
+            assert peak < bound, name
 
 
 # integer atoms, exact weights and an n on the count path
@@ -394,8 +413,8 @@ class TestCountPath:
         assert 0 <= sums.min() and sums.max() <= 2 * n
 
 
-# lattice bases of the sampler tests, each with an n whose sum fits the
-# slot cap, a draw count and a seed
+# lattice bases of the sampler tests, each with an n whose sum's slots fit
+# both the slot cap and draws * n, a draw count and a seed
 LAW_PATH_CASES = [
     ("coin", 3, 25_001, 5),
     ("die", 50, 12_345, 7),
@@ -435,21 +454,32 @@ def count_rows(monkeypatch):
 
 class TestLatticeLawPath:
     @pytest.mark.parametrize("name, n, draws, seed", LAW_PATH_CASES)
-    def test_draws_equal_binary_search_on_the_law(self, name, n, draws, seed, no_summands):
+    def test_counts_equal_multinomial_on_the_law(self, name, n, draws, seed, no_summands):
         base = SAMPLER_BASES[name]()
         law = _lattice_law(base, n)
         got = _mc_normalized_sum(base, n, draws, seed)
-        u = np.random.default_rng([seed, n]).random(draws)
-        assert _same_bits(got.samples, law.points[_searchsorted_index(law, u)])
+        c = np.random.default_rng([seed, n]).multinomial(draws, law.weights)
+        hit = c > 0
+        assert _same_bits(got._counts, c[hit])
+        assert _same_bits(got.points, law.points[hit])
+        assert _same_bits(got.weights, c[hit] / draws)
+        assert _same_bits(got._cumweights, np.cumsum(c[hit]) / draws)
+        # the sample is built only when read, sorted
+        assert "samples" not in vars(got)
+        assert _same_bits(got.samples, np.repeat(law.points, c))
 
-    def test_draws_do_not_depend_on_the_chunking(self, monkeypatch):
-        base = center(fair_die())
-        draws = 3 * _MC_CHUNK_ELEMS + 5
-        one = _mc_normalized_sum(base, 40, _MC_CHUNK_ELEMS, 3).samples
-        several = _mc_normalized_sum(base, 40, draws, 3).samples
-        assert _same_bits(several[:_MC_CHUNK_ELEMS], one)
-        monkeypatch.setattr(clt, "_MC_CHUNK_ELEMS", 1000)
-        assert _same_bits(_mc_normalized_sum(base, 40, draws, 3).samples, several)
+    def test_counts_skip_the_far_tails(self, no_summands):
+        # 10^8 draws of the die's sum at n = 256: no draw reaches an atom of
+        # mass below 1e-30, although the law keeps such atoms
+        base, n, draws = center(fair_die()), 256, 10**8
+        law = _lattice_law(base, n)
+        tiny = law.weights < 1e-30
+        assert tiny.any()
+        c = np.random.default_rng([8, n]).multinomial(draws, law.weights)
+        assert c.sum() == draws and not c[tiny].any()
+        got = _mc_normalized_sum(base, n, draws, 8)
+        assert got._counts.sum() == draws
+        assert not np.isin(law.points[tiny], got.points).any()
 
     @pytest.mark.parametrize("name", sorted(COUNT_PATH_CASES))
     def test_within_dkw_band_of_exact_law(self, name, no_summands):
@@ -458,6 +488,28 @@ class TestLatticeLawPath:
         base = Discrete(np.array(points, dtype=float), np.array([float(w) for w in weights]))
         draws = 400_000
         scaled = _mc_normalized_sum(base, n, draws, 2024).samples * math.sqrt(n * variance(base))
+        sums = np.rint(scaled).astype(np.int64)
+        assert np.abs(scaled - sums).max() < 1e-9
+        lo, F = lattice_sum_cdf(points, weights, n)
+        assert lattice_ks_distance(sums, lo, F) <= dkw_band(draws)
+
+    @pytest.mark.parametrize("wide, n", [(100_000, 9), (20_000, 40)])
+    def test_sparse_wide_lattice_draws_summands(self, wide, n, monkeypatch):
+        # the sum's 900,001 and 800,001 slots outnumber the 2000 * n summands
+        # the row stands for, so the row draws those instead of the law
+        points, weights = [0, 1, wide], [Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)]
+        base = Discrete(np.array(points, dtype=float), np.array([float(w) for w in weights]))
+        calls = []
+        categorical = clt._mc_categorical
+
+        def spy(base, n, draws, rng):
+            calls.append(n)
+            return categorical(base, n, draws, rng)
+
+        monkeypatch.setattr(clt, "_mc_categorical", spy)
+        draws = 2000
+        scaled = _mc_normalized_sum(base, n, draws, 5).samples * math.sqrt(n * variance(base))
+        assert calls == [n]
         sums = np.rint(scaled).astype(np.int64)
         assert np.abs(scaled - sums).max() < 1e-9
         lo, F = lattice_sum_cdf(points, weights, n)
