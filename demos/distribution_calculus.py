@@ -7,6 +7,7 @@ import io
 import numpy as np
 
 from cltlab import (
+    Density,
     Discrete,
     cdf,
     convolve,
@@ -39,6 +40,13 @@ def main():
     print("P(sum of two dice = k):")
     for x, w in zip(two_dice.points, two_dice.weights):
         print(f"  k={x:4.0f}: {w:.6f}")
+
+    print()
+    print("== convolution of densities: U * U, the triangle on (0, 2) ==")
+    uniform = Density(lambda x: 1.0, (0.0, 1.0))
+    triangle = convolve(uniform, uniform)
+    print(f"cdf at 0.5: {cdf(triangle, 0.5):.15f}  vs  closed form 1/8 = {0.125:.15f}")
+    print(f"variance:   {variance(triangle):.15f}  vs  closed form 1/6 = {1.0 / 6.0:.15f}")
 
     print()
     print("== exact law of a normalized sum of 64 coin flips ==")

@@ -1,7 +1,8 @@
 """Convergence experiments for normalized sums of i.i.d. variables.
 
 The harness builds the law of (X_1 + ... + X_n)/sqrt(n sigma^2) for a
-centered discrete base, exactly by repeated convolution or approximately by
+centered discrete base, exactly by ``iid_sum_normalized`` (lattice powering,
+count vectors or atom-pair convolution, by the base) or approximately by
 seeded Monte Carlo, and measures its distance to the standard normal three
 ways: sup CDF gap on a continuity grid, Levy metric, and characteristic
 function modulus error on a fixed t grid.
@@ -20,6 +21,7 @@ from .distributions import (
     Discrete,
     Dist,
     Empirical,
+    _integer,
     _lattice_span,
     _lattice_sum,
     iid_sum_normalized,
@@ -68,7 +70,8 @@ class CltExperiment:
     count vector by K - 1 binomial variates, O(mc_draws * K) time; memory is
     one chunk of uniforms or sums plus the mc_draws sums.  Each (seed, n)
     pair has its own generator stream, so a row does not depend on the other
-    rows requested.
+    rows requested.  ``ns``, ``seed`` and ``mc_draws`` take integers, an
+    integral float included; any other value raises ValueError.
     """
 
     base: Discrete
@@ -92,9 +95,7 @@ class CltExperiment:
             raise ValueError(
                 f"declared sigma2 {self.sigma2!r} disagrees with recomputed variance {s2!r}"
             )
-        ns = tuple(int(n) for n in self.ns)
-        if any(n != float(orig) for n, orig in zip(ns, self.ns)):
-            raise ValueError("ns must be integers")
+        ns = tuple(_integer(n, "ns must be integers") for n in self.ns)
         if any(n < 1 for n in ns):
             raise ValueError("every n must be >= 1")
         if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -109,12 +110,12 @@ class CltExperiment:
             grid = default_grid(standard_normal())
         else:
             grid = tuple(float(g) for g in grid)
-        seed = int(self.seed)
+        seed = _integer(self.seed, "seed must be an integer")
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         draws = self.mc_draws
         if draws is not None:
-            draws = int(draws)
+            draws = _integer(draws, "mc_draws must be a positive integer")
             if draws < 1:
                 raise ValueError("mc_draws must be a positive integer")
         object.__setattr__(self, "base", base)

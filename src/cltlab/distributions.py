@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import NonConvergenceError, SizeLimitError
-from .numerics import _MAX_PANELS, _f_at_nodes, _gk15_antiderivative, _gk15_nodes, _sweep
+from .numerics import (_MAX_PANELS, _WK, _XK, _f_at_nodes, _gk15_antiderivative, _gk15_nodes,
+                       _sweep)
 
 _WEIGHT_SUM_TOL = 1e-12
 _MERGE_TOL = 1e-12
@@ -43,16 +44,6 @@ _INVERSE_STEPS = 64
 # the inverse keeps about twenty arrays the size of its input alive; sample
 # feeds it the uniforms in runs of this many to bound them
 _INVERSE_RUN = 1 << 15
-# mass convolve's pdf grids leave beyond each infinite end of a support
-_GRID_TAIL = 1e-12
-# the largest miss convolve allows between the trapezoid mass of a pdf grid
-# and the partition's: above the step error of 4096+ grid points (2.4e-4 on a
-# box pdf read as 0 at its ends, 6e-6 on the Laplace cusp), below a heavy
-# tail's miss (Cauchy: 1)
-_GRID_MASS_TOL = 1e-3
-# a convolved pdf bends at a grid node whose second difference is above this
-# fraction of its peak; straight runs, as in a triangle, vary by rounding only
-_BEND_RTOL = 1e-12
 # lattice detection: gaps are commensurable to this fraction of the width
 _SPAN_RTOL = 1e-12
 # lattice powering convolves directly while a product takes at most this many
@@ -376,13 +367,6 @@ class Density:
         sums.flags.writeable = False
         return sums
 
-    def _window(self) -> tuple[float, float]:
-        """The support, each infinite end moved in to leave 1e-12 beyond:
-        the span of convolve's pdf grids."""
-        lo, hi = self.support
-        return (lo if math.isfinite(lo) else quantile(self, _GRID_TAIL),
-                hi if math.isfinite(hi) else quantile(self, 1.0 - _GRID_TAIL))
-
 
 class _PanelCdf(NamedTuple):
     """A Density's CDF on the panels between its partition's edges.  On
@@ -506,18 +490,6 @@ def _inverse_cdf(d: Density, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pdf_on_grid(d: Density, xs: np.ndarray) -> np.ndarray:
-    """The pdf, clipped at zero, on equispaced xs; NonConvergenceError when
-    their trapezoid mass misses the partition's over the grid by over 1e-3."""
-    fs = np.maximum(np.fromiter(map(d.pdf, xs.tolist()), float, xs.size), 0.0)
-    lo, hi = float(xs[0]), float(xs[-1])
-    miss = _trapezoid(fs, (hi - lo) / (xs.size - 1)) - (cdf(d, hi) - cdf(d, lo))
-    if not abs(miss) <= _GRID_MASS_TOL:
-        raise NonConvergenceError(f"a {xs.size}-point pdf grid on ({lo:.6g}, {hi:.6g}) "
-                                  f"misses the density's mass there by {miss:.3g}")
-    return fs
-
-
 class Empirical(Discrete):
     """Uniform distribution over a finite sample, as a Discrete: the points
     are the distinct sample values and the weights their counts over N.
@@ -568,6 +540,15 @@ def _require_dist(mu) -> None:
         raise TypeError(
             f"expected a Discrete (an Empirical is one) or a Density, got {type(mu).__name__}"
         )
+
+
+def _integer(value, message: str) -> int:
+    """value as an int, an integral float included; ValueError otherwise."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{message}, got {value!r}")
+    return int(value)
 
 
 def cdf(mu: Dist, x: float) -> float:
@@ -677,33 +658,44 @@ def _convolve_discrete(a: Discrete, b: Discrete, max_atoms: int = _MAX_ATOMS) ->
     return Discrete(pts, wts)
 
 
-def _trapezoid(y: np.ndarray, dx: float) -> float:
-    trap = getattr(np, "trapezoid", None) or np.trapz
-    return float(trap(y, dx=dx))
+def _pdf_polynomials(slopes, center, half, i: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Column i[k] of slopes, a pdf polynomial in s = (x - center) / half, at
+    row k of x: one Horner pass over the gathered columns of a few panels."""
+    s = (x - center.take(i)[:, None]) / half.take(i)[:, None]
+    return _horner(slopes[:, i, None], s)
 
 
 def _convolve_density(a: Density, b: Density) -> Density:
-    lo1, hi1 = a._window()
-    lo2, hi2 = b._window()
-    span1, span2 = hi1 - lo1, hi2 - lo2
-    n_grid = 4096
-    dx = max(span1, span2) / (n_grid - 1)
-    f1 = _pdf_on_grid(a, lo1 + dx * np.arange(math.ceil(span1 / dx) + 1))
-    f2 = _pdf_on_grid(b, lo2 + dx * np.arange(math.ceil(span2 / dx) + 1))
-    conv = np.convolve(f1, f2) * dx
-    conv /= _trapezoid(conv, dx)
-    zs = (lo1 + lo2) + dx * np.arange(conv.size)
-    z0, z1 = float(zs[0]), float(zs[-1])
+    variance(a), variance(b)  # heavy tails raise NonConvergenceError before any work
+    pa, pb = a._panel_cdf, b._panel_cdf
+    ea, eb, na = pa.edges, pb.edges, pa.center.size
+    a0, a1, b0, b1 = float(ea[0]), float(ea[-1]), float(eb[0]), float(eb[-1])
+    deg = np.arange(1, pa.coef.shape[0])[:, None]
+    slopes = np.concatenate([pa.coef[1:] * deg / pa.half, pb.coef[1:] * deg / pb.half], axis=1)
+    center, half = np.concatenate([pa.center, pb.center]), np.concatenate([pa.half, pb.half])
+    # each factor's mass may miss one by its mass_tol, their product by twice that
+    scale = 1.0 / (float(pa.mass[-1]) * float(pb.mass[-1]))
 
-    def pdf(x: float, _zs=zs, _vals=conv) -> float:
-        return float(np.interp(x, _zs, _vals, left=0.0, right=0.0))
+    def pdf(x: float) -> float:
+        lo, hi = max(a0, x - b1), min(a1, x - b0)
+        if not lo < hi:
+            return 0.0
+        xb = x - eb
+        cuts = np.sort(np.concatenate(([lo, hi], ea[(lo < ea) & (ea < hi)],
+                                       xb[(lo < xb) & (xb < hi)])))
+        mid, width = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
+        # panel k of a factor holds the points with k of its inner edges at or left of them
+        i = np.concatenate((np.searchsorted(ea[1:-1], mid, "right"),
+                            np.searchsorted(eb[1:-1], x - mid, "right") + na))
+        y = mid[:, None] + width[:, None] * _XK
+        f = _pdf_polynomials(slopes, center, half, i, np.concatenate((y, x - y)))
+        return scale * float((f[:mid.size] * f[mid.size:]) @ _WK @ width)
 
-    # the pdf bends at the grid nodes whose second difference exceeds
-    # rounding; starting the partition there leaves one straight piece per
-    # panel, where the sweep would bisect towards every bend
-    bend = np.abs(np.diff(conv, 2)) > _BEND_RTOL * float(conv.max())
-    pdf._kinks = zs[1:-1][bend]
-    return Density(pdf, (z0, z1), mass_tol=1e-6)
+    ends = [[e for e in (*d.support, *getattr(d.pdf, "_kinks", ())) if math.isfinite(e)]
+            for d in (a, b)]
+    kinks = np.sort(np.add.outer(*ends), axis=None)
+    pdf._kinks = kinks[np.diff(kinks, prepend=-np.inf) > 0.0]
+    return Density(pdf, (a.support[0] + b.support[0], a.support[1] + b.support[1]))
 
 
 def convolve(mu: Dist, nu: Dist) -> Dist:
@@ -712,8 +704,12 @@ def convolve(mu: Dist, nu: Dist) -> Dist:
     Supported pairs: Discrete*Discrete (exact atom-pair enumeration with
     1e-12 merging, up to 4e7 pairs; an Empirical counts as a Discrete and
     the sum is a plain Discrete; ``iid_sum_normalized`` has faster paths for
-    n-fold sums) and Density*Density (grid convolution on a uniform grid with
-    linear interpolation; NonConvergenceError on heavy tails, see Density).
+    n-fold sums) and Density*Density, whose pdf at x is one GK15 sum of the
+    factors' panel polynomials over the pieces of the first's partition cut
+    at x minus each edge of the second's, over the product of the two
+    partitions' masses; its partition starts from the sums of the factors'
+    finite support ends and kinks.  Both factors' variances are read first,
+    so a heavy tail raises NonConvergenceError (see Density).
     """
     _require_dist(mu)
     _require_dist(nu)
@@ -991,12 +987,13 @@ def iid_sum_normalized(mu: Discrete, n: int, max_atoms: int = _MAX_ATOMS) -> Dis
 def sample(mu: Dist, n: int, seed: int) -> Empirical:
     """n iid draws from mu, produced by applying the quantile transform to
     seeded uniforms; identical inputs give identical output.  ``samples``
-    of the result holds the draws in the order they were made.  A Density
-    inverts its CDF as quantile does, to |F(x) - u| <= 1e-14."""
+    of the result holds the draws in the order they were made.  The seed is
+    an integer, an integral float included (ValueError otherwise).  A
+    Density inverts its CDF as quantile does, to |F(x) - u| <= 1e-14."""
     _require_dist(mu)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_integer(seed, "seed must be an integer"))
     u = rng.random(int(n))
     if isinstance(mu, Discrete):
         return Empirical(mu._draw(u))

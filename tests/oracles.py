@@ -47,6 +47,36 @@ def student_t3_cdf(x: float) -> float:
     return 0.5 + (math.atan(t) + t / (1.0 + t * t)) / math.pi
 
 
+def irwin_hall_cdf(n: int, x: float) -> float:
+    """The law of the sum of n independent uniforms on [0, 1] at x, in exact
+    rational arithmetic: sum over integers k <= x of (-1)^k C(n, k) (x - k)^n
+    / n!, rounded once."""
+    if x <= 0.0:
+        return 0.0
+    if x >= n:
+        return 1.0
+    q = Fraction(x)
+    total = sum((-1) ** k * math.comb(n, k) * (q - k) ** n for k in range(math.floor(q) + 1))
+    return float(total / math.factorial(n))
+
+
+def gamma2_cdf(x: float) -> float:
+    """Gamma(2, 1), the sum of two independent Exp(1) laws: 1 - e^-x (1 + x)."""
+    return 0.0 if x <= 0.0 else 1.0 - math.exp(-x) * (1.0 + x)
+
+
+def normal2_cdf(x: float) -> float:
+    """N(0, 2), the sum of two independent standard normals."""
+    return 0.5 * math.erfc(-x / 2.0)
+
+
+def laplace_sum_cdf(x: float) -> float:
+    """The sum of two independent standard Laplace laws, whose pdf is (1 +
+    |x|) e^-|x| / 4: (2 + |x|) e^-|x| / 4 below 0, and one minus that above."""
+    tail = 0.25 * (2.0 + abs(x)) * math.exp(-abs(x))
+    return tail if x < 0.0 else 1.0 - tail
+
+
 def dkw_band(n: int, alpha: float = 1e-6) -> float:
     """Dvoretzky-Kiefer-Wolfowitz (Massart 1990): the sup distance between
     the empirical CDF of n iid draws and the true one exceeds this with

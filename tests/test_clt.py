@@ -104,6 +104,16 @@ class TestExperimentValidation:
         with pytest.raises(ValueError):
             CltExperiment(rademacher(), ns=(2,), mc_draws=0)
 
+    def test_mc_draws_must_be_integral(self):
+        with pytest.raises(ValueError, match="mc_draws must be a positive integer, got 2.7"):
+            CltExperiment(fair_die(), ns=(4,), mc_draws=2.7)
+        assert CltExperiment(fair_die(), ns=(4,), mc_draws=2.0).mc_draws == 2
+
+    def test_seed_must_be_integral(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.9"):
+            CltExperiment(fair_die(), ns=(4,), mc_draws=2, seed=1.9)
+        assert CltExperiment(fair_die(), ns=(4,), seed=1.0).seed == 1
+
 
 class TestRunClt:
     def test_bernoulli_exact_convergence(self):

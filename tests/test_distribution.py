@@ -2,6 +2,8 @@ import contextlib
 import io
 import math
 import signal
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
 import time
@@ -67,9 +69,13 @@ from oracles import (
     coin_sum_cdf,
     discrete_dists,
     dkw_band,
+    gamma2_cdf,
+    irwin_hall_cdf,
     ks_distance,
     laplace_cdf,
+    laplace_sum_cdf,
     logistic_cdf,
+    normal2_cdf,
     normal_cdf,
     student_t3_cdf,
     student_t3_pdf,
@@ -447,17 +453,19 @@ class TestOneCdf:
             assert abs(cdf(tri, quantile(tri, p)) - p) <= 1e-14
 
     def test_convolved_partition_starts_at_the_bends(self):
-        # the interpolated pdf of N * N bends at every grid node: seeded
-        # there, each panel is one straight piece and its Kronrod value exact
+        # the sum's partition starts from the sums of the factors' finite
+        # support ends and kinks, where a sum of uniforms bends: each panel
+        # is then one polynomial piece and its Kronrod value exact
+        u = Density(lambda x: 1.0, (0.0, 1.0))
+        tri = convolve(u, u)
+        assert tri._partition[0].tolist() == [0.0, 1.0, 2.0]
+        assert abs(cdf(tri, 0.5) - 0.125) <= 1e-12
+        assert convolve(tri, u)._partition[0].size - 1 == 3
+        # without finite ends the sweep alone partitions the sum
         nn = convolve(standard_normal(), standard_normal())
         edges, mass, _ = nn._partition
         assert abs(mass[-1] - 1.0) <= 1e-13
-        assert abs(cdf(nn, 0.0) - 0.5) <= 1e-6
-        # a triangle is straight but at its peak: two panels, no grid seeds
-        u = Density(lambda x: 1.0, (0.0, 1.0))
-        tri = convolve(u, u)
-        assert tri._partition[0].size <= 4
-        assert abs(cdf(tri, 0.5) - 0.125) <= 4.0 / 4095.0  # the grid's first-order error
+        assert abs(cdf(nn, 0.0) - 0.5) <= 1e-12
 
 
 def _gap_pdf(x):
@@ -590,6 +598,44 @@ class TestNormalDensity:
             normal(0.0, -1.0)
 
 
+def _uniform():
+    return Density(lambda x: 1.0, (0.0, 1.0))
+
+
+def _exponential():
+    return Density(lambda x: math.exp(-x), (0.0, math.inf))
+
+
+# (factors, closed-form CDF of their sum, its mean and variance, the span of
+# a CDF grid reaching past the support or deep into both tails)
+CONVOLVED_LAWS = {
+    "U*U": (lambda: (_uniform(), _uniform()), partial(irwin_hall_cdf, 2), 1.0, 1.0 / 6.0,
+            (-1.0, 3.0)),
+    "U*U*U": (lambda: (convolve(_uniform(), _uniform()), _uniform()), partial(irwin_hall_cdf, 3),
+              1.5, 0.25, (-1.0, 4.0)),
+    "(U*U)*(U*U)": (lambda: (convolve(_uniform(), _uniform()),) * 2, partial(irwin_hall_cdf, 4),
+                    2.0, 1.0 / 3.0, (-1.0, 5.0)),
+    "N*N": (lambda: (standard_normal(), standard_normal()), normal2_cdf, 0.0, 2.0, (-40.0, 40.0)),
+    "Exp*Exp": (lambda: (_exponential(), _exponential()), gamma2_cdf, 2.0, 2.0, (-1.0, 80.0)),
+    "L*L": (lambda: (laplace_density(), laplace_density()), laplace_sum_cdf, 0.0, 4.0,
+            (-80.0, 80.0)),
+}
+
+# np.union1d and bare np.unique import numpy.ma on first use (numpy 2.4, about
+# 1 MB of peak memory); a convolution and its moments call neither
+_CONVOLVE_IMPORTS = """
+import sys
+from cltlab import Density, convolve, mean, variance
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    sys.exit(0)
+u = Density(lambda x: 1.0, (0.0, 1.0))
+tri = convolve(u, u)
+mean(tri), variance(tri)
+print("numpy.ma" in sys.modules)
+"""
+
+
 class TestConvolve:
     def test_coin_squared(self):
         out = convolve(rademacher(), rademacher())
@@ -644,9 +690,36 @@ class TestConvolve:
         # N(0,1) * N(0,1) = N(0,2)
         root2 = math.sqrt(2.0)
         for x in (-2.0, -0.5, 0.0, 1.0, root2):
-            assert abs(cdf(out, x) - normal_cdf(x / root2)) < 1e-5
-        assert abs(mean(out)) < 1e-6
-        assert abs(variance(out) - 2.0) < 1e-4
+            assert abs(cdf(out, x) - normal_cdf(x / root2)) < 1e-11
+        assert abs(mean(out)) < 1e-11
+        assert abs(variance(out) - 2.0) < 1e-11
+
+    @pytest.mark.parametrize("name", list(CONVOLVED_LAWS))
+    def test_density_convolution_matches_closed_form(self, name):
+        factors, F, m, v, (lo, hi) = CONVOLVED_LAWS[name]
+        a, b = factors()
+        ab, ba = convolve(a, b), convolve(b, a)
+        xs = np.linspace(lo, hi, 4001).tolist()
+        assert max(abs(cdf(ab, x) - F(x)) for x in xs) <= 1e-11
+        assert abs(mean(ab) - m) <= 1e-11
+        assert abs(variance(ab) - v) <= 1e-11
+        assert max(abs(cdf(ab, x) - cdf(ba, x)) for x in xs) <= 1e-12
+
+    def test_density_convolution_renormalizes_the_factors(self):
+        # a uniform of mass 1 - 9e-7, within its mass_tol: the product of
+        # the factors' masses, 1 - 1.8e-6, would fail the sum's mass check
+        u = Density(lambda x: 1.0 - 9e-7, (0.0, 1.0))
+        tri = convolve(u, u)
+        assert abs(tri._partition[1][-1] - 1.0) <= 1e-12
+        assert abs(cdf(tri, 1.0) - 0.5) <= 1e-12
+
+    def test_density_convolution_leaves_numpy_ma_unimported(self):
+        proc = subprocess.run([sys.executable, "-c", _CONVOLVE_IMPORTS],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.strip() == "preloaded":
+            pytest.skip("importing cltlab already loads numpy.ma")
+        assert proc.stdout.split() == ["False"]
 
     @given(discrete_dists(max_atoms=4), discrete_dists(max_atoms=4))
     @settings(max_examples=40, deadline=None)
@@ -977,6 +1050,11 @@ class TestSample:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             sample(rademacher(), 0, seed=0)
+
+    def test_seed_must_be_integral(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.7"):
+            sample(fair_die(), 3, 1.7)
+        assert np.array_equal(sample(fair_die(), 3, 1.0).samples, sample(fair_die(), 3, 1).samples)
 
     def test_draws_kept_in_order(self):
         u = np.random.default_rng(42).random(50)
