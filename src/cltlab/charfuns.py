@@ -1,10 +1,11 @@
 """Characteristic functions and the Levy inversion formula.
 
 phi(t) = integral of e^{itx} mu(dx): an exact weighted sum over the atoms
-of a Discrete (an Empirical included).  For a Density it is a GK15 sum over
-the panels of the Density's cached partition: the pdf values at their nodes
-are evaluated once and kept, each t reweights them by e^{itx}, and only the
-panels whose Kronrod-Gauss gap is too large for that t are bisected.
+of a Discrete (an Empirical included).  For a Density it is the Density's
+one integral of a weight times its pdf, the weight e^{itx}: a GK15 sum over
+the panels of its cached partition, whose pdf values are evaluated once and
+kept, with only the panels whose Kronrod-Gauss gap is too large for that t
+bisected.
 Inversion recovers mu((a, b]) for non-atom endpoints a < b by integrating
 the real part of the truncated Levy kernel over t > 0 only: the kernel and
 phi are both Hermitian, K(-t) = conj K(t) and phi(-t) = conj phi(t), so that
@@ -18,11 +19,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .distributions import (
-    _PARTITION_TAIL, Density, Discrete, Dist, _require_dist, mean, variance,
-)
+from .distributions import Discrete, Dist, _require_dist, mean, variance
 from .errors import NonConvergenceError
-from .numerics import DEFAULT_TOL, _batched_rounds, _check_tol, _gk15_nodes, _sweep
+from .numerics import DEFAULT_TOL, _batched_rounds, _check_tol, _gk15_nodes
 from .weak_convergence import integral_against
 
 _T_START = 64.0
@@ -33,7 +32,8 @@ def charfun(mu: Dist, t: float, tol: float = DEFAULT_TOL) -> complex:
     """Characteristic function of mu evaluated at t.
 
     t = 0 returns exactly 1+0j (the total mass, which every representation
-    guarantees by construction).  For a Density the summed |kronrod - gauss|
+    guarantees by construction).  For a Density it is Density._integral of
+    the weight e^{itx}, bounded by 1: the summed |kronrod - gauss|
     estimates over the partition's panels, bisected in batched rounds, plus
     the partition's bound on the mass beyond its panels stay within tol.  A
     tol under twice that bound gives the panels tol/2 and sweeps each
@@ -41,8 +41,9 @@ def charfun(mu: Dist, t: float, tol: float = DEFAULT_TOL) -> complex:
     complex integral at tol/4.  The panels depend only on t and tol, so the
     value does not depend on earlier calls; every pdf value comes from the
     Density's node store, which keeps the new ones (up to 60,000 panels,
-    from calls that converge) for later calls.
-    NonConvergenceError when 60,000 panels do not meet tol.
+    from calls that converge) for later calls.  ValueError on a tolerance
+    that is not positive and finite; NonConvergenceError when 60,000 panels
+    do not meet tol.
     """
     _require_dist(mu)
     t = float(t)
@@ -54,35 +55,8 @@ def charfun(mu: Dist, t: float, tol: float = DEFAULT_TOL) -> complex:
         re = float(np.dot(mu.weights, np.cos(t * mu.points)))
         im = float(np.dot(mu.weights, np.sin(t * mu.points)))
         return complex(re, im)
-    return _density_charfun(mu, t, tol)
-
-
-def _density_charfun(mu: Density, t: float, tol: float) -> complex:
-    """phi(t) of a Density over the panels of its partition, refined in
-    batched rounds; the partition's tail bound counts against tol, and when
-    it exceeds tol/2 each infinite end beyond the panels is swept once, as a
-    complex integral at tol/4.  Every pdf value comes from the Density's
-    node store, which keeps the new ones once all of them converge."""
     _check_tol(tol)
-    edges = mu._partition[0]
-    lo, hi = mu.support
-    ends = [(x, y) for x, y in ((lo, float(edges[0])), (float(edges[-1]), hi))
-            if math.isinf(x) or math.isinf(y)]
-    tail = _PARTITION_TAIL if ends else 0.0
-    swept = tail > 0.5 * tol
-    if swept:
-        tail = 0.5 * tol
-    fresh = {}
-    value = complex(_batched_rounds(lambda a, b: mu._node_values(a, b, fresh),
-                                    lambda x: np.exp(1j * t * x), edges, tol - tail)[0])
-    if swept:
-        def waves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return np.exp(1j * t * _gk15_nodes(a, b)) * mu._node_values(a, b, fresh)
-
-        for x, y in ends:
-            value += _sweep(waves, x, y, 0.25 * tol)[0]
-    mu._keep_nodes(fresh)
-    return value
+    return complex(mu._integral(lambda x: np.exp(1j * t * x), tol, 1.0))
 
 
 def char_fn(mu: Dist, tol: float = DEFAULT_TOL) -> Callable[[float], complex]:
@@ -166,7 +140,7 @@ def _invert_at(
             raise ValueError(f"integrand returned a non-finite value near t={bad:.6g}")
         return y
 
-    return _batched_rounds(values, None, (lo, hi), tol)[0] / (2.0 * math.pi)
+    return _batched_rounds(values, (lo, hi), tol)[0] / (2.0 * math.pi)
 
 
 def levy_invert(

@@ -14,14 +14,14 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from .errors import NonConvergenceError, SizeLimitError
-from .numerics import (_MAX_PANELS, _WK, _XK, _f_at_nodes, _gk15_antiderivative, _gk15_nodes,
-                       _sweep)
+from .numerics import (_MAX_PANELS, _WK, _XK, _batched_rounds, _f_at_nodes,
+                       _gk15_antiderivative, _gk15_nodes, _sweep)
 
 _WEIGHT_SUM_TOL = 1e-12
 _MERGE_TOL = 1e-12
@@ -205,9 +205,10 @@ class Density:
     ``levy_metric`` all read that one CDF, accurate to 1e-10 over the whole
     support, heavy tails included (within 5e-13 on the normal, Laplace,
     logistic and Student t3 laws).  The moments, ``integral_against`` and
-    ``charfun`` reweight the pdf at the same nodes and read it at any others
-    once, through one node store.  Moments and ``convolve`` raise
-    NonConvergenceError on heavy tails.
+    ``charfun`` are one integral of a weight times the pdf (_integral): it
+    refines the partition's panels, reweighting the pdf at their nodes, and
+    reads it at any others once, through one node store.  Moments and
+    ``convolve`` raise NonConvergenceError on heavy tails.
     """
 
     pdf: Callable[[float], float]
@@ -235,86 +236,77 @@ class Density:
         from the pdf's _kinks when it has them, the mass up to each edge and
         the pdf at the GK15 nodes of each panel, one row per panel
         (read-only: cached and shared)."""
-        rounds = []
-
-        def values(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-            fx = _f_at_nodes(self.pdf, pa, pb)
-            rounds.append((pa, pb, fx))
-            return fx
-
-        _, panels = _sweep(values, *self.support, _CDF_TOL, getattr(self.pdf, "_kinks", None),
-                           min_mass=_SWEPT_MASS)
-        a, b, v = (np.concatenate(column) for column in zip(*panels))
+        _, panels = _sweep(partial(_f_at_nodes, self.pdf), *self.support, _CDF_TOL,
+                           getattr(self.pdf, "_kinks", None), min_mass=_SWEPT_MASS)
+        a, b, v, nodes = (np.concatenate(column) for column in zip(*panels))
         order = np.argsort(a)
         edges = np.concatenate([a[order[:1]], b[order]])
         mass = np.concatenate([[0.0], np.cumsum(v[order])])
-        # Each panel read is a final one or the parent of a narrower panel
-        # with its left edge, so the narrowest panel read at each left edge
-        # is the final panel there: its row is the first in (left, right) order.
-        sa, sb, fx = zip(*rounds)
-        sa, sb = np.concatenate(sa), np.concatenate(sb)
-        by_edges = np.lexsort((sb, sa))
-        first = by_edges[np.flatnonzero(np.diff(sa[by_edges], prepend=-np.inf))]
-        nodes = np.concatenate(fx)[first]
+        nodes = nodes[order]
         for column in (edges, mass, nodes):
             column.flags.writeable = False
-        # the panels the sweep bisected are never read again
         self._node_store.update(zip(zip(a[order].tolist(), b[order].tolist()), nodes))
         return edges, mass, nodes
 
     @cached_property
     def _node_store(self) -> dict:
         """pdf values at the GK15 nodes of panels, keyed by (left, right):
-        the partition's panels, then those that moments, integral_against
-        and charfun read beyond them, kept only from calls that converge
-        (see _node_values and _keep_nodes)."""
+        the partition's panels, then those that _integral reads beyond them,
+        kept only from calls that converge, up to _MAX_PANELS panels."""
         return {}
 
-    def _node_values(self, a: np.ndarray, b: np.ndarray, fresh: dict) -> np.ndarray:
-        """The pdf at the GK15 nodes of the panels (a_i, b_i), one row each:
-        read from the store, or evaluated and recorded in fresh."""
-        store = self._node_store
-        keys = list(zip(a.tolist(), b.tolist()))
-        rows = [store.get(k) for k in keys]
-        missing = [i for i, row in enumerate(rows) if row is None]
-        if missing:
-            fx = _f_at_nodes(self.pdf, a[missing], b[missing])
-            for i, row in zip(missing, fx):
-                rows[i] = row
-                fresh[keys[i]] = row
-        return np.array(rows)
+    def _integral(self, weight: Callable[[np.ndarray], np.ndarray], tol: float,
+                  bound: float) -> complex:
+        """Integral of weight * pdf, weight vectorised over arrays of nodes,
+        real or complex, and bound on its modulus (math.inf: none).
 
-    def _keep_nodes(self, fresh: dict) -> None:
-        """Move the rows a converged call recorded into the store, while it
-        holds fewer than _MAX_PANELS panels."""
+        The partition's panels are refined in batched rounds, and each
+        infinite end beyond them is swept once at tol/4, unless bound times
+        the partition's bound on the mass beyond its panels fits in tol/2;
+        the panels get what the ends leave of tol.  Every pdf value comes
+        from the node store, which keeps the new ones once the call
+        converges.  NonConvergenceError when the rounds or a sweep run out
+        of budget; without a bound, ValueError naming the first node where
+        weight * pdf is not finite (a weight of modulus at most 1 times a
+        finite pdf is finite)."""
+        edges = self._partition[0]
         store = self._node_store
-        room = max(_MAX_PANELS - len(store), 0)
-        store.update(itertools.islice(fresh.items(), room))
-
-    def _integral(self, g: Callable[[float], float], tol: float) -> float:
-        """Integral of g * pdf by a sweep seeded with the partition's edges,
-        out past the middle half of the mass at least, reading the pdf from
-        the node store (NonConvergenceError when its shells never settle,
-        ValueError where g * pdf is not finite)."""
-        edges, mass, _ = self._partition
-        reach = float(np.abs(edges[np.searchsorted(mass, [0.25, 0.75])]).max())
         fresh = {}
 
         def values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            gx, px = _f_at_nodes(g, a, b), self._node_values(a, b, fresh)
-            with np.errstate(over="ignore"):
-                fx = gx * px
-            # where the product overflows, g * pdf node by node names the node
-            return fx if np.isfinite(fx).all() else _f_at_nodes(lambda x: g(x) * self.pdf(x), a, b)
+            keys = list(zip(a.tolist(), b.tolist()))
+            rows = [store.get(k) for k in keys]
+            missing = [i for i, row in enumerate(rows) if row is None]
+            if missing:
+                for i, row in zip(missing, _f_at_nodes(self.pdf, a[missing], b[missing])):
+                    rows[i] = fresh[keys[i]] = row
+            x, px = _gk15_nodes(a, b), np.array(rows)
+            if bound < math.inf:
+                return weight(x) * px
+            with np.errstate(over="ignore", invalid="ignore"):
+                fx = weight(x) * px
+            bad = ~np.isfinite(fx)
+            if bad.any():
+                x = float(x[bad][0])
+                raise ValueError(f"integrand returned a non-finite value near x={x:.6g}")
+            return fx
 
-        value = _sweep(values, *self.support, tol, edges, reach=reach)[0]
-        self._keep_nodes(fresh)
+        lo, hi = self.support
+        ends = [(x, y) for x, y in ((lo, float(edges[0])), (float(edges[-1]), hi))
+                if math.isinf(x) or math.isinf(y)]
+        tail = bound * _PARTITION_TAIL if ends else 0.0
+        swept = tail > 0.5 * tol
+        value = _batched_rounds(values, edges, 0.5 * tol if swept else tol - tail)[0]
+        if swept:
+            for x, y in ends:
+                value += _sweep(values, x, y, 0.25 * tol)[0]
+        store.update(itertools.islice(fresh.items(), max(_MAX_PANELS - len(store), 0)))
         return value
 
     @cached_property
     def _moments(self) -> tuple[float, float]:
-        m = self._integral(lambda x: x, _MOMENT_TOL)
-        v = self._integral(lambda x: (x - m) ** 2, _MOMENT_TOL)
+        m = self._integral(lambda x: x, _MOMENT_TOL, math.inf)
+        v = self._integral(lambda x: (x - m) ** 2, _MOMENT_TOL, math.inf)
         return m, v
 
     @cached_property
@@ -926,8 +918,9 @@ def iid_sum_normalized(mu: Discrete, n: int, max_atoms: int = _MAX_ATOMS) -> Dis
     """Exact law of (X_1 + ... + X_n) / sqrt(n * sigma^2) for iid X_i ~ mu.
 
     Requires a Discrete mu with mean zero (|mean| <= 1e-9) and positive
-    variance.  One of three exact paths computes the n-fold
-    self-convolution, picked from the base's atoms, n and max_atoms.
+    variance, and n a positive integer, an integral float included.  One of
+    three exact paths computes the n-fold self-convolution, picked from the
+    base's atoms, n and max_atoms.
 
     A lattice base (atoms at offset + h*k for integers k, h found as a float
     gcd of the gaps) powers its weight vector on the lattice slots: directly
@@ -962,15 +955,15 @@ def iid_sum_normalized(mu: Discrete, n: int, max_atoms: int = _MAX_ATOMS) -> Dis
     """
     if not isinstance(mu, Discrete):
         raise TypeError("iid_sum_normalized requires a Discrete distribution")
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if _integer(n, "n must be a positive integer") < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = int(n)
     m = mean(mu)
     if abs(m) > _MEAN_ZERO_TOL:
         raise ValueError(f"base distribution must have mean zero, got mean {m!r}")
     s2 = variance(mu)
     if s2 <= 0.0:
         raise ValueError("base distribution must have positive variance")
-    n = int(n)
     root = math.sqrt(n * s2)
     span = _lattice_span(mu.points)
     if span is None:
@@ -987,11 +980,11 @@ def iid_sum_normalized(mu: Discrete, n: int, max_atoms: int = _MAX_ATOMS) -> Dis
 def sample(mu: Dist, n: int, seed: int) -> Empirical:
     """n iid draws from mu, produced by applying the quantile transform to
     seeded uniforms; identical inputs give identical output.  ``samples``
-    of the result holds the draws in the order they were made.  The seed is
-    an integer, an integral float included (ValueError otherwise).  A
+    of the result holds the draws in the order they were made.  n and the
+    seed are integers, integral floats included (ValueError otherwise).  A
     Density inverts its CDF as quantile does, to |F(x) - u| <= 1e-14."""
     _require_dist(mu)
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if _integer(n, "sample size must be a positive integer") < 1:
         raise ValueError(f"sample size must be a positive integer, got {n!r}")
     rng = np.random.default_rng(_integer(seed, "seed must be an integer"))
     u = rng.random(int(n))

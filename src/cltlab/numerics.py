@@ -6,8 +6,9 @@ integrating over ``(b, a)`` is the exact negation of integrating over
 scores the panels by the gap between a 15-point Kronrod rule and its
 embedded 7-point Gauss rule and bisects the worst first, in one batch,
 until the gaps sum to at most the tolerance.  It reads the integrand at the
-nodes of arrays of panels, so a caller may supply node values and a weight
-instead.  One shell sweep, which can start from given breakpoints and
+nodes of arrays of panels, so a caller may supply node values instead,
+such as stored pdf values times a weight, and gets the converged panels'
+rows back.  One shell sweep, which can start from given breakpoints and
 return its panels, handles every interval kind, adding shells of doubling
 radius at infinite ends; slowly decaying oscillatory integrands get a
 between-zeros summation accelerated by repeated averaging of partial sums.
@@ -128,42 +129,36 @@ def _gk15_antiderivative() -> np.ndarray:
     return np.linalg.solve(P, D @ C)
 
 
-def _weighted_gk15(fx: np.ndarray, weight, a: np.ndarray, b: np.ndarray):
-    """Kronrod values and |kronrod - gauss| estimates of the integrals of
-    weight(x) * f(x) over the panels (a_i, b_i), given fx, f at their nodes
-    (weight None: f alone)."""
-    if weight is None:
-        # 1.5 us less per round than the elementwise sum: 5% of the
-        # density_quadrature median latency, one-panel cdf and quantile calls
-        s = fx @ _W.T
-    else:
-        # a complex matmul is several times slower on thousands of panels
-        s = ((fx * weight(_gk15_nodes(a, b)))[:, None, :] * _W).sum(axis=2)
-    s = s * (b - a)[:, None]
+def _gk15(fx: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Kronrod values and |kronrod - gauss| estimates of the integrals over
+    the panels (a_i, b_i) of the integrand whose values, real or complex,
+    fx holds at their nodes, one row per panel."""
+    s = (fx @ _W.T) * (b - a)[:, None]
     return s[:, 0], np.abs(s[:, 1])
 
 
-def _batched_rounds(values, weight, edges, tol: float):
-    """Integral of weight(x) * f(x) over the panels between consecutive
-    edges, f known through values(a, b), its values at the _gk15_nodes of
-    the panels (a_i, b_i), and weight vectorised over an array of nodes
-    (None for f alone).
+def _batched_rounds(values, edges, tol: float):
+    """Integral over the panels between consecutive edges of the integrand
+    whose values, real or complex, values(a, b) gives at the _gk15_nodes of
+    the panels (a_i, b_i), one row each.
 
     Each round scores every panel by |kronrod - gauss| and, until the scores
     sum to at most tol, bisects the worst panels first: the shortest run of
     them, by descending score, whose scores sum to at least the excess over
-    tol.  Every step is fixed by the edges, the weight and tol, so the result
-    is too.  Returns (value, error, (a, b, v)), the converged panels and
-    their values; NonConvergenceError past _MAX_PANELS panels, or at once
-    when a panel due for bisection is too narrow to split.
+    tol.  Every step is fixed by the edges, the integrand and tol, so the
+    result is too.  Returns (value, error, (a, b, v, fx)): the converged
+    panels, their values and their rows of node values.  NonConvergenceError
+    past _MAX_PANELS panels, or at once when a panel due for bisection is
+    too narrow to split.
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
-    v, e = _weighted_gk15(values(a, b), weight, a, b)
+    fx = values(a, b)
+    v, e = _gk15(fx, a, b)
     while True:
         err = float(e.sum())
         if err <= tol:
-            return v.sum().item(), err, (a, b, v)
+            return v.sum().item(), err, (a, b, v, fx)
         order = np.argsort(-e, kind="stable")
         k = int(np.searchsorted(np.cumsum(e[order]), err - tol)) + 1
         split, rest = order[:k], order[k:]
@@ -176,19 +171,21 @@ def _batched_rounds(values, weight, edges, tol: float):
             )
         ca = np.concatenate([lo, mid])
         cb = np.concatenate([mid, hi])
-        cv, ce = _weighted_gk15(values(ca, cb), weight, ca, cb)
+        cx = values(ca, cb)
+        cv, ce = _gk15(cx, ca, cb)
         a = np.concatenate([a[rest], ca])
         b = np.concatenate([b[rest], cb])
+        fx = np.concatenate([fx[rest], cx])
         v = np.concatenate([v[rest], cv])
         e = np.concatenate([e[rest], ce])
 
 
-def _sweep(values, a: float, b: float, tol: float, breaks=None, min_mass: float = 0.0,
-           reach: float = 0.0) -> tuple[float, list]:
+def _sweep(values, a: float, b: float, tol: float, breaks=None,
+           min_mass: float = 0.0) -> tuple[float, list]:
     """Integral over a < b of the integrand whose values, real or complex,
     values(a, b) gives at the _gk15_nodes of the panels (a_i, b_i), one row
-    each, and its panels, a list of (left edges, right edges, values)
-    arrays, one per piece.
+    each, and its panels, a list of (left edges, right edges, values, rows
+    of node values) arrays, one per piece.
 
     A finite interval is one adaptive pass.  Otherwise a core, (-16, 16) or
     (a, r) with r the first of 16, 32, ... beyond a, then shells [r, 1.5r]
@@ -199,16 +196,16 @@ def _sweep(values, a: float, b: float, tol: float, breaks=None, min_mass: float 
     a.  (-inf, b) is swept reflected.  Pieces start from the sorted breaks.
 
     Settled shells may lie short of a bulk further out: the sweep goes on
-    until its radius is at least reach and the mass swept (the core's |panel
-    values| plus each shell piece's |value|) at least min_mass, returning the
-    value when that mass has not shown up within _MAX_SHELLS shells.
+    until the mass swept (the core's |panel values| plus each shell piece's
+    |value|) is at least min_mass, returning the value when that mass has
+    not shown up within _MAX_SHELLS shells.
     """
     if math.isinf(a) and not math.isinf(b):
         # the nodes of (-b_i, -a_i) are those of (a_i, b_i) negated, in
         # reverse order and bit for bit
         value, panels = _sweep(lambda pa, pb: values(-pb, -pa)[:, ::-1], -b, -a, tol,
-                               None if breaks is None else -breaks[::-1], min_mass, reach)
-        return value, [(-pb, -pa, pv) for pa, pb, pv in panels]
+                               None if breaks is None else -breaks[::-1], min_mass)
+        return value, [(-pb, -pa, pv, fx[:, ::-1]) for pa, pb, pv, fx in panels]
     panels = []
 
     def piece(lo: float, hi: float, piece_tol: float) -> tuple[float, float]:
@@ -216,7 +213,7 @@ def _sweep(values, a: float, b: float, tol: float, breaks=None, min_mass: float 
         if breaks is not None:
             i, j = np.searchsorted(breaks, lo, "right"), np.searchsorted(breaks, hi, "left")
             edges[1:1] = breaks[i:j].tolist()
-        value, err, panel = _batched_rounds(values, None, edges, piece_tol)
+        value, err, panel = _batched_rounds(values, edges, piece_tol)
         panels.append(panel)
         return value, err
 
@@ -243,8 +240,7 @@ def _sweep(values, a: float, b: float, tol: float, breaks=None, min_mass: float 
         value += inc
         err += shell_err
         r = top
-        if (abs(inc) < 0.25 * tol and tail < 0.25 * tol
-                and swept >= min_mass and r >= reach):
+        if abs(inc) < 0.25 * tol and tail < 0.25 * tol and swept >= min_mass:
             err += tail
             if err > tol:
                 raise NonConvergenceError(
@@ -388,7 +384,7 @@ def integrate_oscillatory(
                 if z == a:
                     head = 0
                 continue
-            t = _batched_rounds(values, None, (bounds[-1], z), piece_tol)[0]
+            t = _batched_rounds(values, (bounds[-1], z), piece_tol)[0]
             bounds.append(z)
             terms.append(t)
             if abs(t) < 1e-300:

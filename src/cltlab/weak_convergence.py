@@ -159,11 +159,19 @@ def cdf_distance(mu: Dist, probe: ConvergenceProbe) -> float:
 
 
 def integral_against(fn: Callable[[float], float], mu: Dist, tol: float = 1e-9) -> float:
-    """integral of fn d(mu): a weighted sum over atoms, or quadrature."""
+    """integral of fn d(mu): a weighted sum over atoms, or, for a Density,
+    quadrature of fn * pdf to tol, fn called once per node (see
+    Density._integral).  ValueError on a tolerance that is not positive and
+    finite, or where fn * pdf is not finite, naming the node."""
     _require_dist(mu)
+    _check_tol(tol)
     if isinstance(mu, Discrete):
         return float(np.dot(mu.weights, [fn(float(x)) for x in mu.points]))
-    return mu._integral(fn, tol)
+
+    def weight(x: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+    return mu._integral(weight, tol, math.inf)
 
 
 def portmanteau_testfn(mu: Dist, probe: ConvergenceProbe) -> list[float]:

@@ -77,6 +77,18 @@ def laplace_sum_cdf(x: float) -> float:
     return tail if x < 0.0 else 1.0 - tail
 
 
+def histogram_moments(heights) -> tuple[float, float]:
+    """Mean and variance of the pdf equal to heights[i] on [i/k, (i+1)/k),
+    k = len(heights), in exact rational arithmetic: the integrals of x and
+    of (x - mean)^2 against it, whatever its mass, each rounded once."""
+    k = len(heights)
+    h = [Fraction(w) for w in heights]
+    m0 = sum(h) / k
+    m1 = sum(w * (2 * i + 1) for i, w in enumerate(h)) / (2 * k ** 2)
+    m2 = sum(w * (3 * i * i + 3 * i + 1) for i, w in enumerate(h)) / (3 * k ** 3)
+    return float(m1), float(m2 - 2 * m1 * m1 + m1 * m1 * m0)
+
+
 def dkw_band(n: int, alpha: float = 1e-6) -> float:
     """Dvoretzky-Kiefer-Wolfowitz (Massart 1990): the sup distance between
     the empirical CDF of n iid draws and the true one exceeds this with

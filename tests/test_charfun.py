@@ -32,6 +32,7 @@ from cltlab.distributions import (
 )
 from cltlab.errors import NonConvergenceError
 from cltlab.numerics import integrate
+from cltlab.weak_convergence import integral_against
 from oracles import damped_mass, discrete_dists, normal_mass
 from test_distribution import wall_clock_limit
 
@@ -219,6 +220,17 @@ class TestProductLaw:
         lhs = charfun(shift_scale(mu, a, b), t)
         rhs = cmath.exp(-1j * t * a / b) * charfun(mu, t / b)
         assert abs(lhs - rhs) < 1e-9
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("op", [
+    lambda tol: integral_against(math.cos, standard_normal(), tol),
+    lambda tol: second_order_bound(standard_normal(), 1.0, tol),
+], ids=["integral_against", "second_order_bound"])
+def test_bad_tolerance_raises_at_once(op, tol):
+    # checked before any quadrature, as integrate and charfun check theirs
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        op(tol)
 
 
 class TestSecondOrder:

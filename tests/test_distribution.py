@@ -41,7 +41,6 @@ from cltlab.distributions import (
     _EPS,
     _FFT_FLOOR,
     _MAX_ATOMS,
-    _MOMENT_TOL,
     _PARTITION_TAIL,
     _binary_power,
     _convolve_discrete,
@@ -55,7 +54,6 @@ from cltlab.distributions import (
 from cltlab.charfuns import charfun
 from cltlab.clt import CltExperiment, center, run_clt
 from cltlab.errors import NonConvergenceError, SizeLimitError
-from cltlab.numerics import _f_at_nodes, _sweep
 from cltlab.weak_convergence import (
     ConvergenceProbe,
     cdf_distance,
@@ -70,6 +68,7 @@ from oracles import (
     discrete_dists,
     dkw_band,
     gamma2_cdf,
+    histogram_moments,
     irwin_hall_cdf,
     ks_distance,
     laplace_cdf,
@@ -286,6 +285,25 @@ def test_mass_far_from_the_origin(m):
     assert abs(quantile(d, 0.975) - m - 1.959963984540054) <= 1e-9
 
 
+class TestExactMoments:
+    """Moments of Densities against exact values: histograms, whose jumps
+    the partition's panels resolve, and the Student t3 variance, whose x^2
+    pdf decays like 1/x^2 and leaves the partition's last panel for the
+    sweeps of its ends."""
+
+    @pytest.mark.parametrize("bins", [200, 2000])
+    def test_histogram(self, bins):
+        heights, pdf = _histogram(bins)
+        d = Density(pdf, (0.0, 1.0))
+        m, v = histogram_moments(heights)
+        assert abs(mean(d) - m) <= 1e-11
+        assert abs(variance(d) - v) <= 1e-11
+
+    def test_student_t3_variance(self):
+        d = Density(student_t3_pdf, (-math.inf, math.inf))
+        assert abs(variance(d) - 3.0) <= 1e-9
+
+
 def laplace_density():
     return Density(lambda x: 0.5 * math.exp(-abs(x)), (-math.inf, math.inf))
 
@@ -484,6 +502,17 @@ READ_ONCE_LAWS = {
 }
 
 
+def _histogram(bins: int):
+    """Heights of bins random bins on (0, 1) of mass one, and their pdf."""
+    w = np.random.default_rng(1).random(bins)
+    w = (w / w.sum() * bins).tolist()
+
+    def pdf(x):
+        return w[min(int(x * bins), bins - 1)] if 0.0 <= x < 1.0 else 0.0
+
+    return w, pdf
+
+
 def _outcome(op):
     """op()'s value, or the type of the exception it raises."""
     try:
@@ -518,29 +547,28 @@ class TestNodeStore:
 
     @pytest.mark.parametrize("name", list(ONE_CDF_LAWS) + ["uniform_sum", "shift_scale"])
     def test_integrals_match_a_sweep_of_the_product(self, name):
-        # the sweep that integrates g * pdf node by node, read against the
-        # library's product of g at the nodes with the stored pdf values
-        if name == "uniform_sum":
-            u = Density(lambda x: 1.0, (0.0, 1.0))
-            d = convolve(u, u)
-        elif name == "shift_scale":
-            d = shift_scale(laplace_density(), 0.7, -1.3)
-        else:
-            d = ONE_CDF_LAWS[name][0]()
-        edges, mass, _ = d._partition
-        reach = float(np.abs(edges[np.searchsorted(mass, [0.25, 0.75])]).max())
+        # the integrals read from the store, against the same integrals of a
+        # second copy of the law whose store is emptied before each call, so
+        # that every pdf value is evaluated node by node through _f_at_nodes
+        def build():
+            if name == "uniform_sum":
+                u = Density(lambda x: 1.0, (0.0, 1.0))
+                return convolve(u, u)
+            if name == "shift_scale":
+                return shift_scale(laplace_density(), 0.7, -1.3)
+            return ONE_CDF_LAWS[name][0]()
 
-        def swept(g, tol):
-            product = partial(_f_at_nodes, lambda x: g(x) * d.pdf(x))
-            return _sweep(product, *d.support, tol, edges, reach=reach)[0]
+        d, direct = build(), build()
 
-        m = _outcome(lambda: swept(lambda x: x, _MOMENT_TOL))
-        assert _outcome(lambda: mean(d)) == m
-        if isinstance(m, float):
-            v = _outcome(lambda: swept(lambda x: (x - m) ** 2, _MOMENT_TOL))
-            assert _outcome(lambda: variance(d)) == v
+        def afresh(op):
+            direct._node_store.clear()
+            return _outcome(lambda: op(direct))
+
+        assert _outcome(lambda: mean(d)) == afresh(mean)
+        assert _outcome(lambda: variance(d)) == _outcome(lambda: variance(direct))
         for g in (math.cos, lambda x: 1.0 / (1.0 + x * x), math.tanh):
-            assert _outcome(lambda: integral_against(g, d)) == _outcome(lambda: swept(g, 1e-9))
+            assert _outcome(lambda: integral_against(g, d)) == afresh(
+                lambda e: integral_against(g, e))
 
     def test_store_starts_with_the_partition_panels(self):
         # the panels the partition's sweep bisected stay out: no later sweep
@@ -552,16 +580,10 @@ class TestNodeStore:
 
     def test_partition_peak_memory(self):
         # a 200-bin histogram: the sweep settles on 5,453 panels after reading
-        # about twice as many.  Recorded as whole arrays per round, with keys
-        # only for the final panels, the peak stays under 5.3 MB; a row view
-        # and a key per panel read took it to 6.4 MB.
-        bins = 200
-        w = np.random.default_rng(1).random(bins)
-        w = (w / w.sum() * bins).tolist()
-
-        def pdf(x):
-            return w[min(int(x * bins), bins - 1)] if 0.0 <= x < 1.0 else 0.0
-
+        # about twice as many.  With the final panels' rows carried through
+        # the rounds and keys only for them, the peak is about 3.1 MB; a row
+        # view and a key per panel read took it to 6.4 MB.
+        _, pdf = _histogram(200)
         tracemalloc.start()
         try:
             d = Density(pdf, (0.0, 1.0))
@@ -854,6 +876,13 @@ class TestIidSumNormalized:
         with pytest.raises(ValueError):
             iid_sum_normalized(rademacher(), 0)
 
+    def test_n_may_be_an_integral_float(self):
+        a, b = iid_sum_normalized(rademacher(), 3.0), iid_sum_normalized(rademacher(), 3)
+        assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
+        for n in (2.5, 0, 0.0):
+            with pytest.raises(ValueError, match=f"n must be a positive integer, got {n!r}"):
+                iid_sum_normalized(rademacher(), n)
+
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             iid_sum_normalized(rademacher(), 64, max_atoms=10)
@@ -1055,6 +1084,12 @@ class TestSample:
         with pytest.raises(ValueError, match="seed must be an integer, got 1.7"):
             sample(fair_die(), 3, 1.7)
         assert np.array_equal(sample(fair_die(), 3, 1.0).samples, sample(fair_die(), 3, 1).samples)
+
+    def test_size_may_be_an_integral_float(self):
+        assert np.array_equal(sample(fair_die(), 3.0, 0).samples, sample(fair_die(), 3, 0).samples)
+        for n in (2.5, 0, 0.0):
+            with pytest.raises(ValueError, match=f"sample size must be a positive integer, got {n!r}"):
+                sample(fair_die(), n, 0)
 
     def test_draws_kept_in_order(self):
         u = np.random.default_rng(42).random(50)

@@ -233,7 +233,7 @@ class TestSweep:
                         (exp_tail, -math.inf, -1.0), (normal_pdf, -math.inf, math.inf)]:
             value, panels = _sweep(partial(_f_at_nodes, f), a, b, 1e-10)
             assert value == integrate(f, a, b, 1e-10)
-            lefts, rights, values = (np.concatenate(column) for column in zip(*panels))
+            lefts, rights, values, _ = (np.concatenate(column) for column in zip(*panels))
             spans = sorted(zip(lefts.tolist(), rights.tolist()))
             assert all(p[1] == q[0] for p, q in zip(spans, spans[1:]))
             if math.isfinite(a):
@@ -245,7 +245,7 @@ class TestSweep:
     def test_breaks_seed_the_panels(self):
         breaks = np.array([-30.0, -1.0, 0.25, 3.0, 20.0])
         value, panels = _sweep(partial(_f_at_nodes, normal_pdf), -math.inf, math.inf, 1e-10, breaks)
-        edges = set(np.concatenate([pa for pa, _, _ in panels]).tolist())
+        edges = set(np.concatenate([panel[0] for panel in panels]).tolist())
         assert set(breaks) <= edges
         assert abs(value - 1.0) <= 1e-10
 
@@ -255,7 +255,7 @@ class TestSweep:
         # the peak itself carry the seeds
         narrow = lambda x: math.exp(-0.5 * (x / 0.1) ** 2) / (0.1 * math.sqrt(2.0 * math.pi))
         _, panels = _sweep(partial(_f_at_nodes, narrow), -math.inf, math.inf, 1e-10)
-        edges = np.unique(np.concatenate([pa for pa, _, _ in panels]))
+        edges = np.unique(np.concatenate([panel[0] for panel in panels]))
         value = _sweep(partial(_f_at_nodes, lambda x: x * x * narrow(x)), -math.inf, math.inf, 1e-9, edges)[0]
         assert abs(value - 0.01) <= 1e-9
 
@@ -270,20 +270,25 @@ class TestSweep:
         # one core panel and the two shells on each side of radius 16
         assert len(xs) == 75 and max(map(abs, xs)) < 32.0
 
-    def test_min_mass_or_reach_finds_mass_beyond_dead_shells(self):
+    def test_min_mass_finds_mass_beyond_dead_shells(self):
         far = lambda x: normal_pdf(x - 100.0)
         assert abs(_sweep(partial(_f_at_nodes, far), -math.inf, math.inf, 1e-10)[0]) <= 1e-10
         value = _sweep(partial(_f_at_nodes, far), -math.inf, math.inf, 1e-10, min_mass=0.5)[0]
         assert abs(value - 1.0) <= 1e-10
-        # told where the bulk lies, a sweep reaches it without a mass bound
-        first = lambda x: x * far(x)
-        assert abs(_sweep(partial(_f_at_nodes, first), -math.inf, math.inf, 1e-9)[0]) <= 1e-9
-        assert abs(_sweep(partial(_f_at_nodes, first), -math.inf, math.inf, 1e-9, reach=100.0)[0] - 100.0) <= 1e-9
+
+    def test_panels_carry_their_node_rows(self):
+        # each panel's row is the integrand at its nodes, reflected sweeps
+        # included, so a partition reads its pdf values off the panels
+        exp_tail = lambda x: math.exp(-abs(x))
+        for a, b in [(-2.0, 3.0), (1.0, math.inf), (-math.inf, -1.0), (-math.inf, math.inf)]:
+            panels = _sweep(partial(_f_at_nodes, exp_tail), a, b, 1e-10)[1]
+            for pa, pb, _, fx in panels:
+                assert np.array_equal(fx, _f_at_nodes(exp_tail, pa, pb))
 
 
 class TestBatchedRounds:
     def test_reweights_node_values(self):
-        # integral of e^{itx} over (0, 1) from panels whose node values are 1
+        # integral of e^{itx} over (0, 1): node values 1, reweighted by the caller
         asked = []
 
         def ones(a, b):
@@ -291,14 +296,15 @@ class TestBatchedRounds:
             return np.ones_like(_gk15_nodes(a, b))
 
         for t in (0.5, 40.0):
-            value, err, _ = _batched_rounds(ones, lambda x: np.exp(1j * t * x),
-                                            np.array([0.0, 0.5, 1.0]), 1e-10)
+            value, err, _ = _batched_rounds(
+                lambda a, b: ones(a, b) * np.exp(1j * t * _gk15_nodes(a, b)),
+                np.array([0.0, 0.5, 1.0]), 1e-10)
             assert abs(value - (np.exp(1j * t) - 1.0) / (1j * t)) <= 1e-10
             assert err <= 1e-10
         # t = 40 bisects: later rounds ask only for the new panels' values
         assert asked[0] == asked[1] == 2 and len(asked) > 2
 
     def test_panel_cap_raises(self):
-        ones = lambda a, b: np.ones_like(_gk15_nodes(a, b))
+        waves = lambda a, b: np.exp(1e7j * _gk15_nodes(a, b))
         with pytest.raises(NonConvergenceError):
-            _batched_rounds(ones, lambda x: np.exp(1e7j * x), np.array([0.0, 1.0]), 1e-10)
+            _batched_rounds(waves, np.array([0.0, 1.0]), 1e-10)
