@@ -42,26 +42,29 @@ def charfun(mu: Dist, t: float, tol: float = DEFAULT_TOL) -> complex:
     value does not depend on earlier calls; every pdf value comes from the
     Density's node store, which keeps the new ones (up to 60,000 panels,
     from calls that converge) for later calls.  ValueError on a tolerance
-    that is not positive and finite; NonConvergenceError when 60,000 panels
-    do not meet tol.
+    that is not positive and finite, for any mu and t, though a Discrete's
+    sum is exact and does not use it; NonConvergenceError when 60,000
+    panels do not meet tol.
     """
     _require_dist(mu)
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("t must be finite")
+    _check_tol(tol)
     if t == 0.0:
         return complex(1.0, 0.0)
     if isinstance(mu, Discrete):
         re = float(np.dot(mu.weights, np.cos(t * mu.points)))
         im = float(np.dot(mu.weights, np.sin(t * mu.points)))
         return complex(re, im)
-    _check_tol(tol)
     return complex(mu._integral(lambda x: np.exp(1j * t * x), tol, 1.0))
 
 
 def char_fn(mu: Dist, tol: float = DEFAULT_TOL) -> Callable[[float], complex]:
-    """The characteristic function of mu as a callable t -> complex."""
+    """The characteristic function of mu as a callable t -> complex; a bad
+    tol raises ValueError here, as charfun would."""
     _require_dist(mu)
+    _check_tol(tol)
     return lambda t: charfun(mu, t, tol)
 
 

@@ -13,6 +13,7 @@ import io
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Union
@@ -61,6 +62,12 @@ _FFT_FLOOR = 8.0
 # mass the FFT floor may remove from one lattice sum, counting its repeats
 _FFT_DROP_BUDGET = 1e-13
 _EPS = float(np.finfo(float).eps)
+# ladders of squares of lattice bases, keyed by the bytes of the slot-weight
+# vector, least recently used first: (ladder, slots held) pairs, at most
+# _MAX_ATOMS slots in all, changed only under the lock
+_LADDERS: dict = {}
+_ladder_slots = 0
+_LADDER_LOCK = threading.Lock()
 # the inverse-CDF guide table has the power of two >= 4 buckets per atom,
 # clamped to 2^8..2^16 buckets
 _GUIDE_MIN_BITS = 8
@@ -600,9 +607,12 @@ def variance(mu: Dist) -> float:
 
 
 def atom_mass(mu: Dist, x: float) -> float:
-    """Mass of the single point {x} under mu (zero for a Density)."""
+    """Mass of the single point {x} under mu (zero for a Density); ValueError
+    for a NaN x, as cdf raises."""
     _require_dist(mu)
     x = float(x)
+    if math.isnan(x):
+        raise ValueError("atom_mass argument must not be NaN")
     if isinstance(mu, Discrete):
         idx = int(np.searchsorted(mu.points, x, side="left"))
         if idx < mu.points.size and mu.points[idx] == x:
@@ -777,17 +787,28 @@ def _lattice_span(points: np.ndarray) -> Union[float, None]:
     return h
 
 
-def _binary_power(x, n: int, mul):
-    """x^n for the associative product mul, by binary powering."""
+def _binary_power(ladder: tuple, n: int, mul) -> tuple:
+    """x^n for the associative product mul, by binary powering, and the
+    ladder of squares it read: ladder[k] = x^(2^k), from ladder[0] = x.
+
+    The squares the given ladder lacks are made as mul(y, y) of the last
+    one and appended, up to the highest set bit of n; the accumulator then
+    multiplies in the squares of the set bits, lowest first.  Every product
+    is the one a powering from (x,) would make, so x^n is the same bit for
+    bit whatever the ladder held, and a caller may keep the returned ladder
+    for later powers of x.
+    """
     acc = None
     e = int(n)
+    k = 0
     while e:
+        if k == len(ladder):
+            ladder += (mul(ladder[-1], ladder[-1]),)
         if e & 1:
-            acc = x if acc is None else mul(acc, x)
+            acc = ladder[k] if acc is None else mul(acc, ladder[k])
         e >>= 1
-        if e:
-            x = mul(x, x)
-    return acc
+        k += 1
+    return acc, ladder
 
 
 def _convolve_slots(a, b):
@@ -830,6 +851,30 @@ def _convolve_slots(a, b):
     return sa + sb + lo, out[lo:hi], da + db + dropped, floor
 
 
+def _keep_ladder(key: bytes, ladder: tuple) -> None:
+    """Keep ladder in _LADDERS as key's most recently used entry, its
+    weights read-only, then drop the least recently used entries until they
+    hold at most _MAX_ATOMS slots in all; a ladder over that on its own is
+    not kept.  A view's slots are those of the whole buffer it keeps alive.
+    A longer ladder already kept, which another thread built, stays."""
+    global _ladder_slots
+    for _, w, _, _ in ladder:
+        w.flags.writeable = False
+    size = sum((w if w.base is None else w.base).size for _, w, _, _ in ladder)
+    if size > _MAX_ATOMS:
+        return
+    with _LADDER_LOCK:
+        old = _LADDERS.pop(key, None)
+        if old is not None:
+            _ladder_slots -= old[1]
+            if len(old[0]) > len(ladder):
+                ladder, size = old
+        _LADDERS[key] = ladder, size
+        _ladder_slots += size
+        while _ladder_slots > _MAX_ATOMS:
+            _ladder_slots -= _LADDERS.pop(next(iter(_LADDERS)))[1]
+
+
 def _lattice_power(mu: Discrete, n: int, span: float,
                    max_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """Slots k and weights of the n-fold sum of mu, whose atoms lie on
@@ -842,13 +887,24 @@ def _lattice_power(mu: Discrete, n: int, span: float,
     dropped mass.  SizeLimitError when the n*K + 1 slots of the sum exceed
     max_atoms, checked before anything is allocated; NonConvergenceError
     when the dropped mass exceeds its budget.
+
+    The squares x, x^2, x^4, ... of the slot-weight vector x do not depend
+    on n, so the ladder _binary_power builds is cached per slot-weight
+    vector (not per Discrete: a re-centred copy of a base finds it), up to
+    10^6 slots over all bases (_keep_ladder), and later sums of the same
+    weights multiply only the squares of their set bits.  The result is
+    bit-identical to a powering from a cold cache.
     """
     idx = np.rint((mu.points - mu.points[0]) / span).astype(np.intp)
     slots = n * int(idx[-1]) + 1
     if slots > max_atoms:
         raise SizeLimitError(f"the sum spans {slots} lattice slots (cap {max_atoms})")
-    start, wts, dropped, floor = _binary_power(
-        (0, np.bincount(idx, weights=mu.weights), 0.0, 0.0), n, _convolve_slots)
+    base = np.bincount(idx, weights=mu.weights)
+    key = base.tobytes()
+    kept = _LADDERS.get(key)
+    ladder = ((0, base, 0.0, 0.0),) if kept is None else kept[0]
+    (start, wts, dropped, floor), ladder = _binary_power(ladder, n, _convolve_slots)
+    _keep_ladder(key, ladder)
     keep = wts > floor
     dropped += float(wts[~keep].sum())
     if dropped > _FFT_DROP_BUDGET:
@@ -938,7 +994,10 @@ def iid_sum_normalized(mu: Discrete, n: int, max_atoms: int = _MAX_ATOMS) -> Dis
     SizeLimitError is raised before any work beyond that.  The coin, the die
     and integer bases of width up to 60 with comparable weights stay within
     the budget up to that cap; wide bases with weights spanning many orders
-    of magnitude can exceed it earlier.
+    of magnitude can exceed it earlier.  The squares x^(2^k) of the weight
+    vector are cached per slot-weight vector, up to 10^6 slots over all
+    bases, so later n of the same weights reuse them; each result is
+    bit-identical to a run from a cold cache.
 
     A base on no lattice, whose K(K+1)/2 pairwise sums are 1e-12 apart and
     whose C(n+K-1, K-1) count vectors (ways to split n draws among its K
@@ -972,7 +1031,7 @@ def iid_sum_normalized(mu: Discrete, n: int, max_atoms: int = _MAX_ATOMS) -> Dis
                 and _pair_sums_distinct(mu.points)):
             total = _multinomial_power(mu, n)
         else:
-            total = _binary_power(mu, n, lambda a, b: _convolve_discrete(a, b, max_atoms))
+            total, _ = _binary_power((mu,), n, lambda a, b: _convolve_discrete(a, b, max_atoms))
         return shift_scale(total, 0.0, root)
     return _lattice_sum(mu, n, span, root, max_atoms)
 

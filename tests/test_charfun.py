@@ -226,9 +226,16 @@ class TestProductLaw:
 @pytest.mark.parametrize("op", [
     lambda tol: integral_against(math.cos, standard_normal(), tol),
     lambda tol: second_order_bound(standard_normal(), 1.0, tol),
-], ids=["integral_against", "second_order_bound"])
+    lambda tol: charfun(fair_die(), 1.0, tol),
+    lambda tol: charfun(fair_die(), 0.0, tol),
+    lambda tol: charfun(standard_normal(), 0.0, tol),
+    lambda tol: char_fn(fair_die(), tol),
+    lambda tol: charfun_of_sum([fair_die(), rademacher()], 1.0, tol),
+], ids=["integral_against", "second_order_bound", "charfun_discrete", "charfun_discrete_t0",
+        "charfun_density_t0", "char_fn_discrete", "charfun_of_sum_discrete"])
 def test_bad_tolerance_raises_at_once(op, tol):
-    # checked before any quadrature, as integrate and charfun check theirs
+    # checked before any quadrature, as integrate checks its own; charfun
+    # checks it for every law and t, though a Discrete's sum is exact
     with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
         op(tol)
 

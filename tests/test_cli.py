@@ -220,6 +220,11 @@ class TestErrorHandling:
         self.check_error(capsys, "ValueError",
                          "integrate", "--fn", "preset:sinc", "--tol", "0")
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_bad_tol_on_a_discrete_charfun(self, capsys, tol):
+        self.check_error(capsys, "ValueError",
+                         "charfun", "--dist", "preset:bernoulli", "--tol", tol)
+
     def test_density_base_rejected(self, capsys):
         self.check_error(capsys, "TypeError",
                          "clt", "--base", "preset:normal", "--ns", "2,4")

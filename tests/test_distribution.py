@@ -5,12 +5,13 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cltlab.distributions import (
     Density,
@@ -819,14 +820,17 @@ def benchmark_like_lattice(inner, seed):
 
 
 def assert_power_matches_uncut(base, n):
-    """_lattice_power of base against the uncut reference powering: the
-    CDFs agree within 1e-14 at every slot either keeps, and the pre-rescale
+    """_lattice_power of base against the uncut reference powering, built
+    on a ladder of its own so that no cached square enters it: the CDFs
+    agree within 1e-14 at every slot either keeps, and the pre-rescale
     masses within 1e-13."""
     span = _lattice_span(base.points)
     slots, wts = _lattice_power(base, n, span, _MAX_ATOMS)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(distributions, "_convolve_slots", uncut_convolve_slots)
-        ref_slots, ref_wts = _lattice_power(base, n, span, _MAX_ATOMS)
+    idx = np.rint((base.points - base.points[0]) / span).astype(np.intp)
+    (start, ref, _, floor), _ = _binary_power(
+        ((0, np.bincount(idx, weights=base.weights), 0.0, 0.0),), n, uncut_convolve_slots)
+    ref_slots = start + np.flatnonzero(ref > floor)
+    ref_wts = ref[ref > floor]
     at = np.union1d(slots, ref_slots)
 
     def cdf_at(k, w):
@@ -935,7 +939,7 @@ class TestIidSumNormalized:
         base = Discrete(pts[order], base.weights[order])
         assume(_pair_sums_distinct(base.points))
         counted = _multinomial_power(base, n)
-        pair = _binary_power(base, n, _convolve_discrete)
+        pair = _binary_power((base,), n, _convolve_discrete)[0]
         assert counted.points.size == pair.points.size
         scale = float(np.abs(pair.points).max())
         assert np.abs(counted.points - pair.points).max() <= 1e-12 * scale
@@ -947,7 +951,7 @@ class TestIidSumNormalized:
                                np.full(7, 1.0 / 7.0)))
         n = 26
         mu = iid_sum_normalized(base, n)
-        pair = shift_scale(_binary_power(base, n, _convolve_discrete), 0.0,
+        pair = shift_scale(_binary_power((base,), n, _convolve_discrete)[0], 0.0,
                            math.sqrt(n * variance(base)))
         assert np.array_equal(mu.points, pair.points)
         assert np.array_equal(mu.weights, pair.weights)
@@ -957,7 +961,7 @@ class TestIidSumNormalized:
         assert _pair_sums_distinct(base.points)
         for n in (3, 8, 20):
             mu = iid_sum_normalized(base, n)
-            pair = _binary_power(base, n, _convolve_discrete)
+            pair = _binary_power((base,), n, _convolve_discrete)[0]
             assert mu.points.size == pair.points.size < math.comb(n + 3, 3)
             assert np.abs(np.cumsum(mu.weights) - np.cumsum(pair.weights)).max() <= 1e-12
         # past the count-vector cap the pair path raises, as before
@@ -1039,10 +1043,131 @@ class TestIidSumNormalized:
         span = _lattice_span(base.points)
         slots, wts = _lattice_power(base, n, span, 10**6)
         lattice = dict(zip(n * base.points[0] + span * slots, wts))
-        pair = _binary_power(base, n, _convolve_discrete)
+        pair = _binary_power((base,), n, _convolve_discrete)[0]
         assert set(lattice) <= set(pair.points)
         for p, w in zip(pair.points, pair.weights):
             assert abs(lattice.get(p, 0.0) - w) <= 1e-15
+
+
+@pytest.fixture
+def cold_ladders(monkeypatch):
+    """Empty the cache of ladders of squares for the test, and return a
+    callable that empties it again; the test's cache is dropped after it."""
+    def clear():
+        monkeypatch.setattr(distributions, "_LADDERS", {})
+        monkeypatch.setattr(distributions, "_ladder_slots", 0)
+
+    clear()
+    return clear
+
+
+def power_outcome(base, n):
+    """_lattice_power's slots and weights, or its error's type and message."""
+    try:
+        return _lattice_power(base, n, _lattice_span(base.points), _MAX_ATOMS)
+    except NonConvergenceError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    assert type(got[0]) is type(want[0])
+    if isinstance(want[0], np.ndarray):
+        assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+        assert got[1].tobytes() == want[1].tobytes()
+    else:
+        assert got == want
+
+
+def cached_slots():
+    """The slots the ladder cache holds, counted from its entries."""
+    held = [(w if w.base is None else w.base).size
+            for ladder, _ in distributions._LADDERS.values() for _, w, _, _ in ladder]
+    return sum(held)
+
+
+class TestLadderCache:
+    @settings(deadline=None, max_examples=25,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 12), st.data())
+    def test_warm_powers_match_cold_ones(self, cold_ladders, width, data):
+        inner = data.draw(st.sets(st.integers(1, max(width - 1, 1)), max_size=width - 1))
+        points = np.array([0.0, *sorted(inner), float(width)])
+        w = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=points.size,
+                                        max_size=points.size)))
+        base = Discrete(points, w / w.sum())
+        # the mirror image has other slot weights (unless symmetric), so its own ladder
+        bases = (base, Discrete(width - points[::-1], base.weights[::-1]))
+        ns = data.draw(st.lists(st.integers(1, 5000), min_size=2, max_size=6, unique=True))
+        cold = {}
+        for n in ns:
+            for b, mu in enumerate(bases):
+                cold_ladders()
+                cold[b, n] = power_outcome(mu, n)
+        cold_ladders()
+        for i, n in enumerate(ns):
+            for b, mu in enumerate(bases):
+                # a shifted copy has the same slot weights, so it shares the ladder
+                if i % 2:
+                    mu = Discrete(mu.points - 0.5 * width, mu.weights)
+                assert_same_outcome(power_outcome(mu, n), cold[b, n])
+        assert len(distributions._LADDERS) <= 2
+
+    def test_cache_holds_at_most_the_slot_cap(self, cold_ladders, monkeypatch):
+        monkeypatch.setattr(distributions, "_MAX_ATOMS", 4000)
+        bases = [seeded_lattice(width, seed) for width, seed in
+                 [(3, 1), (4, 2), (5, 3), (6, 4), (7, 5), (8, 6)]]
+        keys = []
+        for base in bases:
+            power_outcome(base, 200)
+            keys.append(next(reversed(distributions._LADDERS)))
+            assert cached_slots() == distributions._ladder_slots <= 4000
+        # the least recently used went first, and the latest one is kept
+        assert list(distributions._LADDERS) == keys[-len(distributions._LADDERS):]
+        assert len(distributions._LADDERS) < len(bases)
+        # a ladder over the cap on its own is used but not kept
+        before = list(distributions._LADDERS), distributions._ladder_slots
+        cold = power_outcome(rademacher(), 4096)
+        assert (list(distributions._LADDERS), distributions._ladder_slots) == before
+        cold_ladders()
+        assert_same_outcome(cold, power_outcome(rademacher(), 4096))
+        assert not distributions._LADDERS
+
+    def test_cached_arrays_are_read_only(self, cold_ladders):
+        for n in (1, 7, 4096):
+            power_outcome(center(fair_die()), n)
+        (ladder, _), = distributions._LADDERS.values()
+        assert len(ladder) == 13
+        for _, w, _, _ in ladder:
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+
+    def test_threads_match_a_serial_run(self, cold_ladders, monkeypatch):
+        base = center(fair_die())
+        ns = [3, 64, 10_000, 1000, 4096, 777, 5000, 2048, 9999, 1]
+        serial = []
+        for n in ns:
+            cold_ladders()
+            serial.append(power_outcome(base, n))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so races show
+        try:
+            for _ in range(3):
+                cold_ladders()
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    threaded = list(pool.map(partial(power_outcome, base), ns, timeout=60))
+                for got, want in zip(threaded, serial):
+                    assert_same_outcome(got, want)
+            # many small ladders under a small cap keep every call evicting;
+            # a lost update of the slot count would break the count
+            monkeypatch.setattr(distributions, "_MAX_ATOMS", 3000)
+            bases = [seeded_lattice(width, width) for width in range(2, 10)]
+            jobs = [(bases[i % 8], 1 + 7 * i % 300) for i in range(12_000)]
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(lambda job: power_outcome(*job), jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert cached_slots() == distributions._ladder_slots <= 3000
 
 
 class TestSample:
@@ -1113,6 +1238,13 @@ class TestDiscontinuityAndAtoms:
         assert atom_mass(standard_normal(), 0.0) == 0.0
         e = Empirical(np.array([1.0, 1.0, 2.0]))
         assert atom_mass(e, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+    @pytest.mark.parametrize("mu", [fair_die(), Empirical(np.array([1.0, 1.0, 2.0])),
+                                    standard_normal()], ids=["discrete", "empirical", "density"])
+    @pytest.mark.parametrize("op", [atom_mass, cdf], ids=["atom_mass", "cdf"])
+    def test_nan_argument_raises(self, op, mu):
+        with pytest.raises(ValueError, match="argument must not be NaN"):
+            op(mu, math.nan)
 
 
 class TestSerialization:
